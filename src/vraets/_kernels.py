@@ -1,14 +1,16 @@
-"""Compiled LSTM time loops: the hot path of training.
+"""LSTM time loops: the hot path of training.
 
-Both kernels operate on time-major arrays so each step slice is
-contiguous. When numba is available the loops are JIT-compiled (scalar
-inner loops; the exp/tanh evaluations dominate); otherwise equivalent
-vectorized numpy fallbacks are used. Both paths implement identical
-arithmetic, so gradients check out against finite differences either
-way.
+One numpy forward and one numpy backward, both on time-major arrays so
+each step slice is contiguous. The forward allocates its outputs and a
+few per-step scratch buffers once per call; every step then writes
+through `out=` ufuncs, so the loop itself allocates nothing. The
+arithmetic is fixed operation by operation, which makes the results
+bit-reproducible on a given numpy/BLAS build; gradients are checked
+against finite differences in the test suite.
 
 Layouts:
     x_proj  (T, B, 4H)  pre-activations from the input side, bias included
+                        (may be a broadcast view, e.g. a bias alone)
     W_h     (H, 4H)     recurrent weights, gate order i, f, o, g
     h_all   (T+1, B, H) hidden states; h_all[0] is the initial state
     c_all   (T+1, B, H) cell states
@@ -20,108 +22,61 @@ from __future__ import annotations
 
 import numpy as np
 
-try:
-    from numba import njit
-    HAVE_NUMBA = True
-except ImportError:            # pragma: no cover - exercised without numba
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-        return wrap if not (args and callable(args[0])) else args[0]
+# There is no compiled path; kept because vraebench reports the backend
+# from it.
+HAVE_NUMBA = False
 
 
-@njit(cache=True)
-def _forward_jit(x_proj, W_h, h0, c0):
+def _sigmoid_into(a, out, e, d):
+    """Logistic sigmoid of `a` into `out`, without overflow or temporaries.
+
+    With e = exp(min(a, -a)) = exp(-|a|) and d = 1 + e the result is
+    1/d for a >= 0 and e/d otherwise (a < 0 or nan): the same
+    operations, hence the same bits, as evaluating 1/(1 + exp(-a)) on
+    the non-negative entries and exp(a)/(1 + exp(a)) on the rest. The
+    numerator max(e, sign(a)) is 1 for a >= 0 (e <= 1 there, and e == 1
+    at a == 0) and e otherwise. `e` and `d` are scratch buffers shaped
+    like `a`.
+    """
+    np.negative(a, out=e)
+    np.minimum(a, e, out=e)
+    np.exp(e, out=e)
+    np.add(e, 1.0, out=d)
+    np.sign(a, out=out)
+    np.maximum(e, out, out=out)
+    np.divide(out, d, out=out)
+
+
+def lstm_forward(x_proj, W_h, h0, c0):
     T, B, H4 = x_proj.shape
     H = H4 // 4
+    H3 = 3 * H
     h_all = np.empty((T + 1, B, H))
     c_all = np.empty((T + 1, B, H))
     gates = np.empty((T, B, H4))
     tanhc = np.empty((T, B, H))
     h_all[0] = h0
     c_all[0] = c0
+    pre = np.empty((B, H4))
+    e = np.empty((B, H3))
+    d = np.empty((B, H3))
+    ig = np.empty((B, H))
     for t in range(T):
-        a = np.dot(h_all[t], W_h)
-        for b in range(B):
-            for j in range(H):
-                i = 1.0 / (1.0 + np.exp(-(a[b, j] + x_proj[t, b, j])))
-                f = 1.0 / (1.0 + np.exp(-(a[b, H + j] + x_proj[t, b, H + j])))
-                o = 1.0 / (1.0 + np.exp(-(a[b, 2 * H + j]
-                                          + x_proj[t, b, 2 * H + j])))
-                g = np.tanh(a[b, 3 * H + j] + x_proj[t, b, 3 * H + j])
-                c = f * c_all[t, b, j] + i * g
-                tc = np.tanh(c)
-                gates[t, b, j] = i
-                gates[t, b, H + j] = f
-                gates[t, b, 2 * H + j] = o
-                gates[t, b, 3 * H + j] = g
-                tanhc[t, b, j] = tc
-                c_all[t + 1, b, j] = c
-                h_all[t + 1, b, j] = o * tc
+        np.matmul(h_all[t], W_h, out=pre)
+        np.add(x_proj[t], pre, out=pre)
+        g_t = gates[t]
+        _sigmoid_into(pre[:, :H3], g_t[:, :H3], e, d)
+        np.tanh(pre[:, H3:], out=g_t[:, H3:])
+        c = c_all[t + 1]
+        np.multiply(g_t[:, H:2 * H], c_all[t], out=c)
+        np.multiply(g_t[:, :H], g_t[:, H3:], out=ig)
+        np.add(c, ig, out=c)
+        np.tanh(c, out=tanhc[t])
+        np.multiply(g_t[:, 2 * H:H3], tanhc[t], out=h_all[t + 1])
     return h_all, c_all, gates, tanhc
 
 
-@njit(cache=True)
-def _backward_jit(dh_step, dh_last, dc_last, gates, tanhc, c_all, W_hT):
-    T, B, H4 = gates.shape
-    H = H4 // 4
-    da_all = np.empty((T, B, H4))
-    dh = dh_last.copy()
-    dc = dc_last.copy()
-    for t in range(T - 1, -1, -1):
-        for b in range(B):
-            for j in range(H):
-                dhv = dh[b, j] + dh_step[t, b, j]
-                i = gates[t, b, j]
-                f = gates[t, b, H + j]
-                o = gates[t, b, 2 * H + j]
-                g = gates[t, b, 3 * H + j]
-                tc = tanhc[t, b, j]
-                dcc = dc[b, j] + dhv * o * (1.0 - tc * tc)
-                da_all[t, b, j] = dcc * g * i * (1.0 - i)
-                da_all[t, b, H + j] = dcc * c_all[t, b, j] * f * (1.0 - f)
-                da_all[t, b, 2 * H + j] = dhv * tc * o * (1.0 - o)
-                da_all[t, b, 3 * H + j] = dcc * i * (1.0 - g * g)
-                dc[b, j] = dcc * f
-        dh = np.dot(da_all[t], W_hT)
-    return da_all, dh, dc
-
-
-def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def _forward_numpy(x_proj, W_h, h0, c0):
-    T, B, H4 = x_proj.shape
-    H = H4 // 4
-    h_all = np.empty((T + 1, B, H))
-    c_all = np.empty((T + 1, B, H))
-    gates = np.empty((T, B, H4))
-    tanhc = np.empty((T, B, H))
-    h_all[0] = h0
-    c_all[0] = c0
-    for t in range(T):
-        a = x_proj[t] + h_all[t] @ W_h
-        gates[t, :, :3 * H] = _sigmoid(a[:, :3 * H])
-        gates[t, :, 3 * H:] = np.tanh(a[:, 3 * H:])
-        i = gates[t, :, :H]
-        f = gates[t, :, H:2 * H]
-        o = gates[t, :, 2 * H:3 * H]
-        g = gates[t, :, 3 * H:]
-        c_all[t + 1] = f * c_all[t] + i * g
-        tanhc[t] = np.tanh(c_all[t + 1])
-        h_all[t + 1] = o * tanhc[t]
-    return h_all, c_all, gates, tanhc
-
-
-def _backward_numpy(dh_step, dh_last, dc_last, gates, tanhc, c_all, W_hT):
+def lstm_backward(dh_step, dh_last, dc_last, gates, tanhc, c_all, W_hT):
     T, B, H4 = gates.shape
     H = H4 // 4
     da_all = np.empty((T, B, H4))
@@ -142,11 +97,3 @@ def _backward_numpy(dh_step, dh_last, dc_last, gates, tanhc, c_all, W_hT):
         dc = dcc * f
         dh = da_all[t] @ W_hT
     return da_all, dh, dc
-
-
-if HAVE_NUMBA:
-    lstm_forward = _forward_jit
-    lstm_backward = _backward_jit
-else:                          # pragma: no cover - exercised without numba
-    lstm_forward = _forward_numpy
-    lstm_backward = _backward_numpy

@@ -97,7 +97,11 @@ def parse_config_file(path) -> dict:
 
 def resolve(preset: str | None = None, config_file=None,
             overrides: dict | None = None) -> dict:
-    """Defaults <- preset <- config file <- explicit overrides."""
+    """Defaults <- preset <- config file <- explicit overrides.
+
+    Every key whose default is a number must convert to that type, so
+    the int()/float() conversions of the stages cannot fail.
+    """
     cfg = dict(DEFAULTS)
     if preset is not None:
         if preset not in PRESETS:
@@ -111,6 +115,14 @@ def resolve(preset: str | None = None, config_file=None,
         if unknown:
             raise DataError(f"unknown config keys: {sorted(unknown)}")
         cfg.update(overrides)
+    for key, default in DEFAULTS.items():
+        kind = type(default)
+        if kind in (int, float):
+            try:
+                kind(cfg[key])
+            except (TypeError, ValueError, OverflowError):
+                raise DataError(f"config key {key!r}: expected "
+                                f"{kind.__name__}, got {cfg[key]!r}") from None
     return cfg
 
 

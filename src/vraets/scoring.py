@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
-from scipy.stats import rankdata
 
 from vraets.clustering import ClusterAssignment
 from vraets.errors import DataError
@@ -112,6 +111,8 @@ def auc_binary(values: np.ndarray, truth: np.ndarray,
         tpr = float(np.mean(values[pos] == 1))
         tnr = float(np.mean(values[neg] != 1))
         return 0.5 * (tpr + tnr)
+    # scipy.stats is slow to import and only this path needs it
+    from scipy.stats import rankdata
     ranks = rankdata(values)
     n_pos, n_neg = int(pos.sum()), int(neg.sum())
     u = float(np.sum(ranks[pos])) - n_pos * (n_pos + 1) / 2.0

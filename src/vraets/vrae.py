@@ -87,6 +87,10 @@ class VraeConfig:
             raise DataError("dropout_rate must be in [0, 1)")
         if self.learning_rate <= 0:
             raise DataError("learning_rate must be positive")
+        if self.epochs < 1:
+            raise DataError(f"epochs must be >= 1, got {self.epochs}")
+        if self.batch_size < 1:
+            raise DataError(f"batch_size must be >= 1, got {self.batch_size}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -143,7 +147,7 @@ def encoder_forward(params: dict, x: np.ndarray, n_hidden: int):
     Returns the final hidden state (B, n_hidden) and the time-major
     state cache needed by the backward pass. The input projection
     x_t @ W_x is computed for all timesteps in one matmul; the
-    recurrence itself runs in the compiled kernel.
+    recurrence itself runs in `_kernels.lstm_forward`.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 2:
@@ -195,8 +199,8 @@ def decoder_forward(params: dict, z: np.ndarray, length: int, n_hidden: int):
     c0 = z @ params["zc_W"] + params["zc_b"]
     batch = z.shape[0]
     d_out = params["out_W"].shape[1]
-    x_proj = np.empty((length, batch, 4 * n_hidden))
-    x_proj[:] = params["dec_b"]
+    # zero inputs: the input-side pre-activation is the bias at every step
+    x_proj = np.broadcast_to(params["dec_b"], (length, batch, 4 * n_hidden))
     h_all, c_all, gates, tanhc = _kernels.lstm_forward(
         x_proj, params["dec_W"], h0, c0)
     flat = h_all[1:].reshape(length * batch, n_hidden)
@@ -320,7 +324,8 @@ def backward(params: dict, cache: dict, config: VraeConfig
     enc = cache["enc"]
     W_h = params["enc_W"][d:]
     da_all, _, _ = _kernels.lstm_backward(
-        np.zeros((length, batch, n_h)), dh, np.zeros((batch, n_h)),
+        np.broadcast_to(0.0, (length, batch, n_h)), dh,
+        np.zeros((batch, n_h)),
         enc["gates"], enc["tanhc"], enc["c_all"],
         np.ascontiguousarray(W_h.T))
     da_flat = da_all.reshape(length * batch, 4 * n_h)

@@ -3,6 +3,8 @@ codes, artifact chaining, reproducibility manifests, and SVG output."""
 
 import json
 import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -181,6 +183,27 @@ class TestExitCodes:
                      "--out", str(tmp_path / "data")])
         assert code == 2
 
+    def test_non_numeric_config_value_is_2(self, pipeline_dir, tmp_path,
+                                            capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("vrae.epochs = abc\n")
+        code = main(["train", "--config", str(cfg), "--train-data",
+                     os.path.join(pipeline_dir["prep"], "train.windows"),
+                     "--out", str(tmp_path / "model.ckpt")])
+        assert code == 2
+        assert "vrae.epochs" in capsys.readouterr().err
+        assert not (tmp_path / "model.ckpt").exists()
+
+    def test_negative_epochs_is_2(self, mini_config, pipeline_dir, tmp_path,
+                                  capsys):
+        code = main(["train", "--config", mini_config, "--epochs", "-3",
+                     "--train-data",
+                     os.path.join(pipeline_dir["prep"], "train.windows"),
+                     "--out", str(tmp_path / "model.ckpt")])
+        assert code == 2
+        assert "epochs" in capsys.readouterr().err
+        assert not (tmp_path / "model.ckpt").exists()
+
     def test_unknown_preset_rejected_by_argparse(self):
         assert main(["generate", "--preset", "bogus", "--out", "x"]) == 1
 
@@ -206,3 +229,16 @@ class TestConfigEcho:
         assert cfg["vrae.anneal_mode"] == "cyclical"
         assert cfg["project.method"] == "tsne"
         assert cfg["cluster.k"] == 4
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs a large share of every process's start-up and
+    # only ROC AUC needs it, so it is imported there
+    code = ("import sys, vraets.cli; "
+            "sys.exit('scipy.stats' in sys.modules)")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode \
+        == 0

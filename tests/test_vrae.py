@@ -288,15 +288,12 @@ class TestTrain:
         ckpt = train(cfg, ds)
         assert ckpt.history["train_recon"][-1] < ckpt.history["train_recon"][0]
 
-    def test_zero_epochs_returns_initialization(self):
-        ds = toy_dataset()
-        cfg = VraeConfig(input_dim=2, hidden_units=4, latent_dim=2, epochs=0,
-                         seed=5)
-        ckpt = train(cfg, ds)
-        expected = init_weights(cfg, SeededRng(5))
-        for k in expected:
-            np.testing.assert_array_equal(ckpt.params[k], expected[k])
-        assert ckpt.history["train_total"] == []
+    @pytest.mark.parametrize("field,value", [("epochs", 0), ("epochs", -3),
+                                             ("batch_size", 0)])
+    def test_nonpositive_epochs_or_batch_size_rejected(self, field, value):
+        with pytest.raises(DataError, match=field):
+            VraeConfig(input_dim=2, hidden_units=4, latent_dim=2,
+                       **{field: value})
 
     def test_bit_identical_under_seed(self):
         ds = toy_dataset()
@@ -409,27 +406,213 @@ class TestLatentLineReport:
             latent_line_report(np.zeros((4, 2)), np.zeros(4))
 
 
+# Reference LSTM kernels for TestKernelPaths. `_scalar_*` are per-element
+# loops written straight from the cell equations; `_vectorised_*` are the
+# earlier vectorised kernels with a masked sigmoid, whose bits the
+# allocation-free `_kernels` versions must reproduce exactly.
+
+def _scalar_forward(x_proj, W_h, h0, c0):
+    T, B, H4 = x_proj.shape
+    H = H4 // 4
+    h_all = np.empty((T + 1, B, H))
+    c_all = np.empty((T + 1, B, H))
+    gates = np.empty((T, B, H4))
+    tanhc = np.empty((T, B, H))
+    h_all[0] = h0
+    c_all[0] = c0
+    for t in range(T):
+        a = np.dot(h_all[t], W_h)
+        for b in range(B):
+            for j in range(H):
+                i = 1.0 / (1.0 + np.exp(-(a[b, j] + x_proj[t, b, j])))
+                f = 1.0 / (1.0 + np.exp(-(a[b, H + j] + x_proj[t, b, H + j])))
+                o = 1.0 / (1.0 + np.exp(-(a[b, 2 * H + j]
+                                          + x_proj[t, b, 2 * H + j])))
+                g = np.tanh(a[b, 3 * H + j] + x_proj[t, b, 3 * H + j])
+                c = f * c_all[t, b, j] + i * g
+                tc = np.tanh(c)
+                gates[t, b, j] = i
+                gates[t, b, H + j] = f
+                gates[t, b, 2 * H + j] = o
+                gates[t, b, 3 * H + j] = g
+                tanhc[t, b, j] = tc
+                c_all[t + 1, b, j] = c
+                h_all[t + 1, b, j] = o * tc
+    return h_all, c_all, gates, tanhc
+
+
+def _scalar_backward(dh_step, dh_last, dc_last, gates, tanhc, c_all, W_hT):
+    T, B, H4 = gates.shape
+    H = H4 // 4
+    da_all = np.empty((T, B, H4))
+    dh = dh_last.copy()
+    dc = dc_last.copy()
+    for t in range(T - 1, -1, -1):
+        for b in range(B):
+            for j in range(H):
+                dhv = dh[b, j] + dh_step[t, b, j]
+                i = gates[t, b, j]
+                f = gates[t, b, H + j]
+                o = gates[t, b, 2 * H + j]
+                g = gates[t, b, 3 * H + j]
+                tc = tanhc[t, b, j]
+                dcc = dc[b, j] + dhv * o * (1.0 - tc * tc)
+                da_all[t, b, j] = dcc * g * i * (1.0 - i)
+                da_all[t, b, H + j] = dcc * c_all[t, b, j] * f * (1.0 - f)
+                da_all[t, b, 2 * H + j] = dhv * tc * o * (1.0 - o)
+                da_all[t, b, 3 * H + j] = dcc * i * (1.0 - g * g)
+                dc[b, j] = dcc * f
+        dh = np.dot(da_all[t], W_hT)
+    return da_all, dh, dc
+
+
+def _masked_sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _vectorised_forward(x_proj, W_h, h0, c0):
+    T, B, H4 = x_proj.shape
+    H = H4 // 4
+    h_all = np.empty((T + 1, B, H))
+    c_all = np.empty((T + 1, B, H))
+    gates = np.empty((T, B, H4))
+    tanhc = np.empty((T, B, H))
+    h_all[0] = h0
+    c_all[0] = c0
+    for t in range(T):
+        a = x_proj[t] + h_all[t] @ W_h
+        gates[t, :, :3 * H] = _masked_sigmoid(a[:, :3 * H])
+        gates[t, :, 3 * H:] = np.tanh(a[:, 3 * H:])
+        i = gates[t, :, :H]
+        f = gates[t, :, H:2 * H]
+        o = gates[t, :, 2 * H:3 * H]
+        g = gates[t, :, 3 * H:]
+        c_all[t + 1] = f * c_all[t] + i * g
+        tanhc[t] = np.tanh(c_all[t + 1])
+        h_all[t + 1] = o * tanhc[t]
+    return h_all, c_all, gates, tanhc
+
+
+def _vectorised_backward(dh_step, dh_last, dc_last, gates, tanhc, c_all,
+                         W_hT):
+    T, B, H4 = gates.shape
+    H = H4 // 4
+    da_all = np.empty((T, B, H4))
+    dh = dh_last.copy()
+    dc = dc_last.copy()
+    for t in range(T - 1, -1, -1):
+        dhv = dh + dh_step[t]
+        i = gates[t, :, :H]
+        f = gates[t, :, H:2 * H]
+        o = gates[t, :, 2 * H:3 * H]
+        g = gates[t, :, 3 * H:]
+        tc = tanhc[t]
+        dcc = dc + dhv * o * (1.0 - tc * tc)
+        da_all[t, :, :H] = dcc * g * i * (1.0 - i)
+        da_all[t, :, H:2 * H] = dcc * c_all[t] * f * (1.0 - f)
+        da_all[t, :, 2 * H:3 * H] = dhv * tc * o * (1.0 - o)
+        da_all[t, :, 3 * H:] = dcc * i * (1.0 - g * g)
+        dc = dcc * f
+        dh = da_all[t] @ W_hT
+    return da_all, dh, dc
+
+
+def _lstm_inputs(seed, T, B, H, scale=1.0):
+    rng = np.random.default_rng(seed)
+    x_proj = scale * rng.normal(size=(T, B, 4 * H))
+    W_h = scale * rng.normal(size=(H, 4 * H)) / np.sqrt(H)
+    h0, c0 = rng.normal(size=(B, H)), rng.normal(size=(B, H))
+    return x_proj, W_h, h0, c0
+
+
+def _backward_inputs(seed, fwd, W_h):
+    rng = np.random.default_rng(seed)
+    h_all, c_all, gates, tanhc = fwd
+    T, B, H = tanhc.shape
+    dh_step = rng.normal(size=(T, B, H))
+    dh, dc = rng.normal(size=(B, H)), rng.normal(size=(B, H))
+    return dh_step, dh, dc, gates, tanhc, c_all, np.ascontiguousarray(W_h.T)
+
+
+def _assert_all_equal(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
+
+
 class TestKernelPaths:
-    """The compiled and numpy LSTM kernels must implement identical math."""
+    """The numpy LSTM kernels against per-element loops (to 1e-14) and
+    against the earlier vectorised kernels (bit for bit)."""
 
     def test_forward_and_backward_agree(self):
         from vraets import _kernels
-        rng = np.random.default_rng(12)
-        T, B, H = 7, 3, 4
-        x_proj = rng.normal(size=(T, B, 4 * H))
-        W_h = rng.normal(size=(H, 4 * H))
-        h0, c0 = rng.normal(size=(B, H)), rng.normal(size=(B, H))
-        fwd_jit = _kernels._forward_jit(x_proj, W_h, h0, c0)
-        fwd_np = _kernels._forward_numpy(x_proj, W_h, h0, c0)
-        for a, b in zip(fwd_jit, fwd_np):
-            assert np.allclose(a, b, atol=1e-14)
-        h_all, c_all, gates, tanhc = fwd_np
-        dh_step = rng.normal(size=(T, B, H))
-        dh, dc = rng.normal(size=(B, H)), rng.normal(size=(B, H))
-        W_hT = np.ascontiguousarray(W_h.T)
-        bwd_jit = _kernels._backward_jit(dh_step, dh, dc, gates, tanhc,
-                                         c_all, W_hT)
-        bwd_np = _kernels._backward_numpy(dh_step, dh, dc, gates, tanhc,
-                                          c_all, W_hT)
-        for a, b in zip(bwd_jit, bwd_np):
-            assert np.allclose(a, b, atol=1e-14)
+        args = _lstm_inputs(12, T=7, B=3, H=4)
+        fwd = _kernels.lstm_forward(*args)
+        for a, b in zip(fwd, _scalar_forward(*args)):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-14)
+        bargs = _backward_inputs(13, fwd, args[1])
+        for a, b in zip(_kernels.lstm_backward(*bargs),
+                        _scalar_backward(*bargs)):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("T,B,H,scale", [(7, 3, 4, 1.0), (40, 17, 5, 4.0),
+                                             (25, 64, 32, 30.0),
+                                             (3, 1, 1, 1.0)])
+    def test_bit_identical_to_vectorised(self, T, B, H, scale):
+        from vraets import _kernels
+        args = _lstm_inputs(T * B + H, T, B, H, scale)
+        fwd = _kernels.lstm_forward(*args)
+        _assert_all_equal(fwd, _vectorised_forward(*args))
+        bargs = _backward_inputs(1, fwd, args[1])
+        _assert_all_equal(_kernels.lstm_backward(*bargs),
+                          _vectorised_backward(*bargs))
+
+    def test_broadcast_inputs_bit_identical(self):
+        # the decoder passes its bias as a broadcast x_proj, the encoder's
+        # BPTT a broadcast zero dh_step
+        from vraets import _kernels
+        x_proj, W_h, h0, c0 = _lstm_inputs(5, T=9, B=4, H=3, scale=2.0)
+        bias = np.broadcast_to(x_proj[0, 0], x_proj.shape)
+        fwd = _kernels.lstm_forward(bias, W_h, h0, c0)
+        _assert_all_equal(fwd, _vectorised_forward(bias.copy(), W_h, h0, c0))
+        _, dh, dc, gates, tanhc, c_all, W_hT = _backward_inputs(6, fwd, W_h)
+        zero = np.broadcast_to(0.0, tanhc.shape)
+        _assert_all_equal(
+            _kernels.lstm_backward(zero, dh, dc, gates, tanhc, c_all, W_hT),
+            _vectorised_backward(np.zeros(tanhc.shape), dh, dc, gates,
+                                 tanhc, c_all, W_hT))
+
+    def test_special_preactivations_bit_identical(self):
+        # zero recurrent weights and state make every pre-activation of
+        # the first step equal to x_proj (-0.0 turns into +0.0 there; the
+        # sigmoid test below covers it)
+        from vraets import _kernels
+        special = np.array([0.0, -0.0, 800.0, -800.0, np.inf, -np.inf,
+                            np.nan, 1e-300, -1e-300, 36.7, -36.7, -745.2])
+        H = len(special)
+        x_proj = np.tile(special, 4)[None, None, :]
+        W_h = np.zeros((H, 4 * H))
+        zeros = np.zeros((1, H))
+        with np.errstate(all="ignore"):
+            fwd = _kernels.lstm_forward(x_proj, W_h, zeros, zeros)
+            want = _vectorised_forward(x_proj, W_h, zeros, zeros)
+        _assert_all_equal(fwd, want)
+        np.testing.assert_array_equal(fwd[2][0, 0, :H],
+                                      _masked_sigmoid(special))
+
+    def test_sigmoid_bit_identical_on_signed_zeros_and_extremes(self):
+        from vraets import _kernels
+        rng = np.random.default_rng(3)
+        a = np.concatenate([[0.0, -0.0, 800.0, -800.0, np.inf, -np.inf,
+                             np.nan, 5e-324, -5e-324],
+                            rng.normal(scale=20.0, size=2000)])
+        out, e, d = np.empty_like(a), np.empty_like(a), np.empty_like(a)
+        with np.errstate(all="ignore"):
+            _kernels._sigmoid_into(a, out, e, d)
+            want = _masked_sigmoid(a)
+        np.testing.assert_array_equal(out, want)
