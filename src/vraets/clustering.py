@@ -120,63 +120,31 @@ def kmeans_pp(X: np.ndarray, k: int, seed: int = 0, max_iter: int = 100,
                              extras={"inertia_trace": trace})
 
 
-_LINKAGES = ("ward",)
-
-
-def hierarchical(X: np.ndarray, k: int, linkage: str = "ward"
-                 ) -> ClusterAssignment:
+def hierarchical(X: np.ndarray, k: int) -> ClusterAssignment:
     """Agglomerative clustering cut at k clusters (Ward linkage).
 
-    Uses the Lance-Williams recurrence on squared-distance Ward merge
-    costs; the recorded merge heights are non-decreasing.
+    The merges come from scipy's nearest-neighbour-chain Ward (Muellner,
+    arXiv:1109.2378); clusters are numbered by their first member.
+    merge_heights holds each merge's Ward cost, the rise in the
+    within-cluster sum of squares, so it is non-decreasing.
     """
-    if linkage not in _LINKAGES:
-        raise DataError(f"hierarchical: unknown linkage {linkage!r}; "
-                        f"supported: {list(_LINKAGES)}")
+    from scipy.cluster.hierarchy import cut_tree, linkage
+
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
     if not 1 <= k <= n:
         raise DataError(f"hierarchical: k={k} out of range for {n} points")
-
-    # Ward cost between singletons: ||xi - xj||^2 / 2
-    d2 = _pairwise_sq(X, X)
-    D = d2 / 2.0
-    np.fill_diagonal(D, np.inf)
-    sizes = np.ones(n)
-    active = np.ones(n, dtype=bool)
-    members: list[list[int]] = [[i] for i in range(n)]
-    merge_heights = []
-    n_active = n
-    while n_active > k:
-        flat = np.argmin(D)
-        a, b = np.unravel_index(flat, D.shape)
-        if a > b:
-            a, b = b, a
-        merge_heights.append(float(D[a, b]))
-        sa, sb = sizes[a], sizes[b]
-        for j in range(n):
-            if not active[j] or j in (a, b):
-                continue
-            sj = sizes[j]
-            tot = sa + sb + sj
-            D[a, j] = ((sa + sj) * D[a, j] + (sb + sj) * D[b, j]
-                       - sj * D[a, b]) / tot
-            D[j, a] = D[a, j]
-        active[b] = False
-        D[b, :] = np.inf
-        D[:, b] = np.inf
-        sizes[a] = sa + sb
-        members[a] = members[a] + members[b]
-        members[b] = []
-        n_active -= 1
-    labels = np.empty(n, dtype=np.int64)
-    cluster_ids = [i for i in range(n) if active[i]]
-    for new_id, cid in enumerate(cluster_ids):
-        labels[members[cid]] = new_id
+    if n == 1:
+        labels, merge_heights = np.zeros(1, dtype=np.int64), []
+    else:
+        Z = linkage(X, method="ward")
+        labels = cut_tree(Z, n_clusters=k)[:, 0]
+        # scipy's height is sqrt(2 * cost)
+        merge_heights = (Z[:n - k, 2] ** 2 / 2).tolist()
     return ClusterAssignment(labels, "hierarchical",
-                             {"k": k, "linkage": linkage},
+                             {"k": k, "linkage": "ward"},
                              centroids=np.array([X[labels == j].mean(axis=0)
-                                                 for j in range(len(cluster_ids))]),
+                                                 for j in range(k)]),
                              extras={"merge_heights": merge_heights})
 
 

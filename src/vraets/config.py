@@ -100,7 +100,9 @@ def resolve(preset: str | None = None, config_file=None,
     """Defaults <- preset <- config file <- explicit overrides.
 
     Every key whose default is a number must convert to that type, so
-    the int()/float() conversions of the stages cannot fail.
+    the int()/float() conversions of the stages cannot fail, and must
+    not be a bool; an int key must not hold a fraction, which int()
+    would truncate. Values are checked, never rewritten.
     """
     cfg = dict(DEFAULTS)
     if preset is not None:
@@ -118,11 +120,16 @@ def resolve(preset: str | None = None, config_file=None,
     for key, default in DEFAULTS.items():
         kind = type(default)
         if kind in (int, float):
+            value = cfg[key]
             try:
-                kind(cfg[key])
+                kind(value)
+                if isinstance(value, bool) or (
+                        kind is int and isinstance(value, float)
+                        and not value.is_integer()):
+                    raise ValueError
             except (TypeError, ValueError, OverflowError):
                 raise DataError(f"config key {key!r}: expected "
-                                f"{kind.__name__}, got {cfg[key]!r}") from None
+                                f"{kind.__name__}, got {value!r}") from None
     return cfg
 
 

@@ -55,11 +55,6 @@ def sigmoid(x):
     return expit(np.asarray(x, dtype=np.float64))
 
 
-def sample_standard_gaussian(rng: SeededRng, shape) -> np.ndarray:
-    """i.i.d. standard normal matrix, reproducible under the rng seed."""
-    return rng.standard_normal(shape)
-
-
 class AdamState:
     """First/second moment accumulators plus step counter for a param dict."""
 

@@ -212,28 +212,34 @@ def tsne(X: np.ndarray, perplexity: float = 30.0, iterations: int = 1000,
 def spectral_embedding(X: np.ndarray, k_neighbors: int = 10, dims: int = 2
                        ) -> Embedding:
     """Eigenmaps of the symmetric-normalized Laplacian of a kNN graph."""
+    from scipy.sparse.csgraph import connected_components
+
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
-    if k_neighbors >= n:
+    if not 0 <= k_neighbors < n:
         raise DataError(f"spectral_embedding: k_neighbors {k_neighbors} "
-                        f"must be < {n}")
+                        f"must be in [0, {n})")
     d2 = _sq_distances(X)
     if np.max(d2) == 0.0:
         # all points coincide: no geometry to embed
         return Embedding(np.zeros((n, dims)), "spectral",
                          {"k_neighbors": k_neighbors, "dims": dims}, X.shape[1])
+    # each row's k nearest others in stable order: drop the row's own
+    # index, or the (k+1)-th pick where duplicates pushed it out; the
+    # copy frees the full n x n argsort, which a view would keep alive
+    rows = np.arange(n)
+    order = np.argsort(d2, axis=1, kind="stable")[:, :k_neighbors + 1].copy()
+    keep = order != rows[:, None]
+    keep[keep.all(axis=1), k_neighbors] = False
     adj = np.zeros((n, n))
-    order = np.argsort(d2, axis=1, kind="stable")
-    for i in range(n):
-        neigh = [j for j in order[i] if j != i][:k_neighbors]
-        adj[i, neigh] = 1.0
+    adj[np.repeat(rows, k_neighbors), order[keep]] = 1.0
     adj = np.maximum(adj, adj.T)  # union of directed kNN edges
 
     deg = adj.sum(axis=1)
     if np.all(deg == 0):
         return Embedding(np.zeros((n, dims)), "spectral",
                          {"k_neighbors": k_neighbors, "dims": dims}, X.shape[1])
-    n_comp = _n_components(adj)
+    n_comp = connected_components(adj, directed=False)[0]
     if n_comp > dims + 1:
         warnings.warn(f"kNN graph has {n_comp} connected components; "
                       f"embedding may be degenerate")
@@ -245,22 +251,3 @@ def spectral_embedding(X: np.ndarray, k_neighbors: int = 10, dims: int = 2
     return Embedding(coords, "spectral",
                      {"k_neighbors": k_neighbors, "dims": dims}, X.shape[1],
                      extras={"eigenvalues": eigvals[:dims + 1]})
-
-
-def _n_components(adj: np.ndarray) -> int:
-    n = adj.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    comps = 0
-    for start in range(n):
-        if seen[start]:
-            continue
-        comps += 1
-        stack = [start]
-        seen[start] = True
-        while stack:
-            u = stack.pop()
-            for v in np.flatnonzero(adj[u] > 0):
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(int(v))
-    return comps

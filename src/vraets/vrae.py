@@ -102,16 +102,6 @@ class VraeConfig:
         return cls(**d)
 
 
-@dataclass
-class LatentSample:
-    """One posterior draw: z = mu + sigma * epsilon, recorded exactly."""
-
-    mu: np.ndarray
-    sigma: np.ndarray
-    epsilon: np.ndarray
-    z: np.ndarray
-
-
 def init_weights(config: VraeConfig, rng: SeededRng) -> dict[str, np.ndarray]:
     """Uniform +-1/sqrt(fan_in) init; forget-gate biases start at 1.0."""
     d, h, z = config.input_dim, config.hidden_units, config.latent_dim
@@ -175,19 +165,6 @@ def posterior_params(params: dict, h_final: np.ndarray):
     s_pre = h_final @ params["sig_W"] + params["sig_b"]
     sigma = softplus(s_pre) + SIGMA_FLOOR
     return mu, sigma, s_pre
-
-
-def reparameterize(mu: np.ndarray, sigma: np.ndarray, rng: SeededRng,
-                   epsilon: np.ndarray | None = None) -> LatentSample:
-    """z = mu + sigma * epsilon with epsilon ~ N(0, I) (or injected)."""
-    mu = np.asarray(mu, dtype=np.float64)
-    sigma = np.asarray(sigma, dtype=np.float64)
-    if np.any(sigma <= 0):
-        raise DataError("reparameterize: sigma must be positive elementwise")
-    if epsilon is None:
-        epsilon = rng.standard_normal(mu.shape)
-    z = mu + sigma * epsilon
-    return LatentSample(mu=mu, sigma=sigma, epsilon=epsilon, z=z)
 
 
 def decoder_forward(params: dict, z: np.ndarray, length: int, n_hidden: int):

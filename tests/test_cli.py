@@ -194,6 +194,23 @@ class TestExitCodes:
         assert "vrae.epochs" in capsys.readouterr().err
         assert not (tmp_path / "model.ckpt").exists()
 
+    @pytest.mark.parametrize("line", ["vrae.epochs = 2.7",
+                                      "vrae.hidden_units = true",
+                                      "prep.window_length = 200.9",
+                                      "vrae.beta_max = false"])
+    def test_truncated_or_bool_config_value_is_2(self, pipeline_dir,
+                                                 tmp_path, capsys, line):
+        # int()/float() would silently turn these into 2 epochs, a
+        # 1-unit LSTM, 200-step windows and a zero KL weight
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        code = main(["train", "--config", str(cfg), "--train-data",
+                     os.path.join(pipeline_dir["prep"], "train.windows"),
+                     "--out", str(tmp_path / "model.ckpt")])
+        assert code == 2
+        assert line.split(" = ")[0] in capsys.readouterr().err
+        assert not (tmp_path / "model.ckpt").exists()
+
     def test_negative_epochs_is_2(self, mini_config, pipeline_dir, tmp_path,
                                   capsys):
         code = main(["train", "--config", mini_config, "--epochs", "-3",
@@ -232,10 +249,12 @@ class TestConfigEcho:
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs a large share of every process's start-up and
-    # only ROC AUC needs it, so it is imported there
+    # scipy.stats, scipy.cluster and scipy.sparse.csgraph cost a large
+    # share of every process's start-up, and only ROC AUC, Ward and the
+    # spectral embedding need them, so they are imported there
     code = ("import sys, vraets.cli; "
-            "sys.exit('scipy.stats' in sys.modules)")
+            "sys.exit(any(m in sys.modules for m in "
+            "('scipy.stats', 'scipy.cluster', 'scipy.sparse.csgraph')))")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -1,5 +1,6 @@
 """Clustering tests: constructed-geometry oracles, Lloyd/Ward invariants,
-brute-force cross-checks on tiny inputs, and DBSCAN reachability cases."""
+brute-force cross-checks (k-means, Ward) on tiny inputs, and DBSCAN
+reachability cases."""
 
 import numpy as np
 import pytest
@@ -97,6 +98,34 @@ class TestKmeans:
 
 # ------------------------------------------------------- hierarchical
 
+def _brute_force_ward(X, k):
+    """Greedy Ward from its definition, for tiny inputs.
+
+    Each step merges the pair of clusters with the least cost
+    |A||B|/(|A|+|B|) * ||c_A - c_B||^2, the rise in the within-cluster
+    sum of squares, until k clusters remain. Returns labels numbered by
+    each cluster's first member and the costs in merge order.
+    """
+    clusters = [[i] for i in range(len(X))]
+    heights = []
+    while len(clusters) > k:
+        best = None
+        for a in range(len(clusters)):
+            for b in range(a + 1, len(clusters)):
+                A, B = clusters[a], clusters[b]
+                gap = X[A].mean(axis=0) - X[B].mean(axis=0)
+                cost = len(A) * len(B) / (len(A) + len(B)) * float(gap @ gap)
+                if best is None or cost < best[0]:
+                    best = (cost, a, b)
+        cost, a, b = best
+        heights.append(cost)
+        clusters[a] = clusters[a] + clusters.pop(b)
+    labels = np.empty(len(X), dtype=np.int64)
+    for new_id, members in enumerate(sorted(clusters, key=min)):
+        labels[members] = new_id
+    return labels, heights
+
+
 class TestHierarchical:
     def test_two_tight_blobs(self):
         X = _blobs([(0, 0), (10, 10)], 15, 0.1, seed=12)
@@ -149,17 +178,33 @@ class TestHierarchical:
         # ours records Ward cost in squared-distance/2 units
         assert np.allclose(np.sqrt(2.0 * ours), ref, atol=1e-8)
 
+    def test_labels_match_brute_force_ward(self):
+        for seed, n in ((15, 2), (16, 5), (17, 9), (18, 12)):
+            X = SeededRng(seed).standard_normal((n, 3))
+            for k in range(1, n + 1):
+                labels, heights = _brute_force_ward(X, k)
+                out = clustering.hierarchical(X, k)
+                np.testing.assert_array_equal(out.labels, labels)
+                np.testing.assert_allclose(out.extras["merge_heights"],
+                                           heights, rtol=0, atol=1e-9)
+
     def test_k_n_gives_singletons(self):
         X = _blobs([(0, 0)], 7, 2.0, seed=17)
         out = clustering.hierarchical(X, 7)
         assert len(set(out.labels.tolist())) == 7
 
-    def test_bad_linkage_and_k(self):
+    def test_k_range(self):
         X = np.zeros((4, 2))
         with pytest.raises(DataError):
-            clustering.hierarchical(X, 2, linkage="single")
-        with pytest.raises(DataError):
             clustering.hierarchical(X, 5)
+        with pytest.raises(DataError):
+            clustering.hierarchical(X, 0)
+        # scipy's linkage rejects a single point; n = k = 1 is valid
+        one = np.array([[1.5, -2.0]])
+        out = clustering.hierarchical(one, 1)
+        np.testing.assert_array_equal(out.labels, [0])
+        np.testing.assert_array_equal(out.centroids, one)
+        assert out.extras["merge_heights"] == []
 
 
 # ------------------------------------------------------------- DBSCAN

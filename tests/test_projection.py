@@ -230,7 +230,48 @@ class TestTsne:
 
 # ------------------------------------------------------ spectral maps
 
+def _spectral_points_by_neighbour_loop(X, k_neighbors, dims=2):
+    """Reference spectral embedding with the kNN graph built row by row:
+    each row's first k_neighbors others in stable distance order."""
+    n = X.shape[0]
+    order = np.argsort(projection._sq_distances(X), axis=1, kind="stable")
+    adj = np.zeros((n, n))
+    for i in range(n):
+        neigh = [j for j in order[i] if j != i][:k_neighbors]
+        adj[i, neigh] = 1.0
+    adj = np.maximum(adj, adj.T)
+    deg = adj.sum(axis=1)
+    with np.errstate(divide="ignore"):
+        dinv = np.where(deg > 0, 1.0 / np.sqrt(deg), 0.0)
+    lap = np.eye(n) - dinv[:, None] * adj * dinv[None, :]
+    _, eigvecs = np.linalg.eigh(lap)
+    return projection._fix_signs(eigvecs[:, 1:dims + 1])
+
+
 class TestSpectral:
+    def test_matches_neighbour_loop_bit_for_bit(self):
+        for seed, n, k in ((25, 12, 3), (26, 40, 10), (27, 60, 7)):
+            X = _random_data(n, 4, seed=seed)
+            np.testing.assert_array_equal(
+                projection.spectral_embedding(X, k_neighbors=k).points,
+                _spectral_points_by_neighbour_loop(X, k))
+
+    def test_duplicates_match_neighbour_loop_bit_for_bit(self):
+        # more than k_neighbors + 1 copies of a point: for the later
+        # copies, earlier copies fill the first k + 1 slots of the
+        # stable order and the row's own index falls outside them
+        rng = SeededRng(28)
+        k = 3
+        X = np.concatenate([np.tile(rng.standard_normal((1, 3)), (7, 1)),
+                            rng.standard_normal((10, 3)),
+                            np.tile(rng.standard_normal((1, 3)), (5, 1))])
+        X = X[SeededRng(29).permutation(len(X))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = projection.spectral_embedding(X, k_neighbors=k).points
+        np.testing.assert_array_equal(
+            got, _spectral_points_by_neighbour_loop(X, k))
+
     def test_identical_points_embed_to_zeros(self):
         X = np.ones((8, 3))
         emb = projection.spectral_embedding(X, k_neighbors=3)
@@ -265,6 +306,8 @@ class TestSpectral:
     def test_k_neighbors_bound(self):
         with pytest.raises(DataError):
             projection.spectral_embedding(_random_data(5, 2), k_neighbors=5)
+        with pytest.raises(DataError):
+            projection.spectral_embedding(_random_data(5, 2), k_neighbors=-1)
 
 
 # --------------------------------------------------------- Embedding

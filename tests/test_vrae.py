@@ -9,7 +9,7 @@ from vraets.vrae import (AnnealSchedule, Checkpoint, VraeConfig, backward,
                          beta_at, decoder_forward, encode_dataset,
                          encoder_forward, forward, init_weights,
                          kl_divergence, latent_line_report, loss,
-                         posterior_params, reparameterize, train)
+                         posterior_params, train)
 
 TINY = VraeConfig(input_dim=2, hidden_units=4, latent_dim=3,
                   dropout_rate=0.0, epochs=2, batch_size=4, seed=1)
@@ -84,29 +84,15 @@ class TestPosteriorParams:
 
 
 class TestReparameterize:
-    def test_zero_epsilon_returns_mu(self):
-        mu, sigma = np.array([1.0, -2.0]), np.array([0.5, 2.0])
-        s = reparameterize(mu, sigma, SeededRng(0), epsilon=np.zeros(2))
-        np.testing.assert_array_equal(s.z, mu)
-
-    def test_standard_normal_identity(self):
-        s = reparameterize(np.zeros(3), np.ones(3), SeededRng(3))
-        np.testing.assert_array_equal(s.z, s.epsilon)
-
-    def test_elementwise_arithmetic(self):
-        s = reparameterize(np.array([1.0, 2.0]), np.array([0.5, 2.0]),
-                           SeededRng(0), epsilon=np.array([2.0, -1.0]))
-        np.testing.assert_array_equal(s.z, [2.0, 0.0])
-
     def test_exact_identity_invariant(self):
+        # forward draws z = mu + sigma * epsilon inline, bit for bit
         rng = SeededRng(4)
-        s = reparameterize(rng.standard_normal(6),
-                           np.abs(rng.standard_normal(6)) + 0.1, rng)
-        np.testing.assert_array_equal(s.z, s.mu + s.sigma * s.epsilon)
-
-    def test_nonpositive_sigma_rejected(self):
-        with pytest.raises(DataError):
-            reparameterize(np.zeros(2), np.array([1.0, 0.0]), SeededRng(0))
+        x = rng.uniform(-1.0, 1.0, (3, 5, 2))
+        eps = rng.standard_normal((3, 3))
+        _, _, _, cache = forward(tiny_params(), x, TINY, eps, 1.0)
+        np.testing.assert_array_equal(
+            cache["z"], cache["mu"] + cache["sigma"] * eps)
+        assert cache["epsilon"] is eps
 
 
 class TestDecoderForward:
