@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from typing import Any
 
@@ -51,35 +52,64 @@ def save_artifact(path, kind: str, meta: dict[str, Any],
 
 
 def load_artifact(path, expect_kind: str | None = None):
-    """Returns (kind, meta, arrays). Validates magic, version, and shapes."""
+    """Returns (kind, meta, arrays). Validates magic, version, header
+    fields and shapes, and that the arrays fill the file exactly."""
     if not os.path.exists(path):
         raise DataError(f"missing artifact: {path}")
     with open(path, "rb") as fh:
         line = fh.readline()
         try:
             header = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
             raise DataError(f"{path}: not a vraets artifact ({exc})") from exc
+        if not isinstance(header, dict):
+            raise DataError(f"{path}: header is not a JSON object")
         if header.get("magic") != _MAGIC:
             raise DataError(f"{path}: bad magic")
         if header.get("format_version") != FORMAT_VERSION:
             raise DataError(f"{path}: unsupported format version "
                             f"{header.get('format_version')}")
+        kind, meta, entries = (header.get(k) for k in ("kind", "meta", "arrays"))
+        if not (isinstance(kind, str) and isinstance(meta, dict)
+                and isinstance(entries, list)):
+            raise DataError(f"{path}: header needs a string 'kind', an object "
+                            f"'meta' and a list 'arrays'")
+        remaining = os.fstat(fh.fileno()).st_size - fh.tell()
         arrays = {}
-        for ent in header["arrays"]:
-            dtype = _DTYPES.get(ent["dtype"])
-            if dtype is None:
-                raise DataError(f"{path}: unknown dtype {ent['dtype']}")
-            shape = tuple(int(s) for s in ent["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(count * dtype.itemsize)
-            if len(buf) != count * dtype.itemsize:
-                raise DataError(f"{path}: truncated array {ent['name']!r}")
-            arrays[ent["name"]] = np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
-    kind = header["kind"]
+        for ent in entries:
+            name, dtype, shape = _parse_entry(path, ent)
+            if name in arrays:
+                raise DataError(f"{path}: duplicate array name {name!r}")
+            nbytes = math.prod(shape) * dtype.itemsize
+            if nbytes > remaining:
+                raise DataError(f"{path}: truncated array {name!r}")
+            buf = fh.read(nbytes)
+            remaining -= nbytes
+            arrays[name] = np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
+        if remaining:
+            raise DataError(f"{path}: {remaining} trailing bytes after the "
+                            f"last array")
     if expect_kind is not None and kind != expect_kind:
         raise DataError(f"{path}: expected {expect_kind!r} artifact, found {kind!r}")
-    return kind, header["meta"], arrays
+    return kind, meta, arrays
+
+
+def _parse_entry(path, ent) -> tuple[str, np.dtype, tuple[int, ...]]:
+    """(name, dtype, shape) of one header array entry, each checked."""
+    if not isinstance(ent, dict) or not {"name", "dtype", "shape"} <= ent.keys():
+        raise DataError(f"{path}: array entry {ent!r} needs name, dtype "
+                        f"and shape")
+    name, shape = ent["name"], ent["shape"]
+    if not isinstance(name, str):
+        raise DataError(f"{path}: array name {name!r} is not a string")
+    dtype = _DTYPES.get(ent["dtype"]) if isinstance(ent["dtype"], str) else None
+    if dtype is None:
+        raise DataError(f"{path}: unknown dtype {ent['dtype']!r} for {name!r}")
+    if not (isinstance(shape, list)
+            and all(type(s) is int and s >= 0 for s in shape)):
+        raise DataError(f"{path}: shape of {name!r} must be a list of "
+                        f"non-negative integers, got {shape!r}")
+    return name, dtype, tuple(shape)
 
 
 def sha256_file(path) -> str:

@@ -78,20 +78,23 @@ def parse_config_file(path) -> dict:
     if not os.path.exists(path):
         raise DataError(f"missing config file: {path}")
     overrides = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DataError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in DEFAULTS:
-                raise DataError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                overrides[key] = json.loads(value)
-            except json.JSONDecodeError:
-                overrides[key] = value
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise DataError(f"{path}:{lineno}: expected 'key = value'")
+                key, value = (part.strip() for part in line.split("=", 1))
+                if key not in DEFAULTS:
+                    raise DataError(f"{path}:{lineno}: unknown key {key!r}")
+                try:
+                    overrides[key] = json.loads(value)
+                except json.JSONDecodeError:
+                    overrides[key] = value
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
     return overrides
 
 

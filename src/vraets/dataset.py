@@ -9,7 +9,9 @@ splitting, and per-class balancing.
 from __future__ import annotations
 
 import csv
+import io
 import os
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -232,16 +234,25 @@ def read_metadata(path) -> dict[str, IceConfig]:
     """Sidecar format: one `sim_id,x-y-z` line per simulation."""
     if not os.path.exists(path):
         raise DataError(f"missing metadata sidecar: {path}")
-    table = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise DataError(f"{path}:{lineno}: expected 'sim_id,x-y-z'")
-            table[parts[0].strip()] = IceConfig.parse(parts[1])
+    table, first_line = {}, {}
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                parts = line.split(",")
+                if len(parts) != 2:
+                    raise DataError(f"{path}:{lineno}: expected 'sim_id,x-y-z'")
+                sim_id = parts[0].strip()
+                if sim_id in table:
+                    raise DataError(f"{path}:{lineno}: duplicate sim_id "
+                                    f"{sim_id!r}, first on line "
+                                    f"{first_line[sim_id]}")
+                table[sim_id] = IceConfig.parse(parts[1])
+                first_line[sim_id] = lineno
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
     return table
 
 
@@ -250,7 +261,10 @@ def load_csv(path, metadata: dict[str, IceConfig] | str | None = None
     """Loads one simulation CSV; sim_id is the file stem.
 
     The metadata argument is either a parsed sidecar table or the sidecar
-    path; by default a `metadata.csv` next to the CSV is used.
+    path; by default a `metadata.csv` next to the CSV is used. The data
+    rows are parsed by np.loadtxt where it is sure to agree with a
+    csv.reader + float() parse of each cell, and by that parse otherwise,
+    so every file gives the values and the DataError that parse gives.
     """
     if not os.path.exists(path):
         raise DataError(f"missing CSV file: {path}")
@@ -262,29 +276,70 @@ def load_csv(path, metadata: dict[str, IceConfig] | str | None = None
     if sim_id not in metadata:
         raise DataError(f"{path}: sim_id {sim_id!r} missing from metadata sidecar")
 
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            names = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    lines = io.StringIO(text, newline="")
+    try:
+        names = next(csv.reader(lines), None)
+        if names is None:
+            raise DataError(f"{path}: empty file")
         names = [n.strip() for n in names]
-        rows = []
-        for rowno, row in enumerate(reader, start=2):
-            if len(row) != len(names):
-                raise DataError(f"{path}:{rowno}: ragged row, {len(row)} cells "
-                                f"but {len(names)} columns")
-            try:
-                rows.append([float(cell) for cell in row])
-            except ValueError:
-                bad = next(i for i, cell in enumerate(row)
-                           if not _is_float(cell))
-                raise DataError(f"{path}:{rowno}: bad numeric cell in column "
-                                f"{names[bad]!r}: {row[bad]!r}") from None
-    if not rows:
+        body = lines.readlines()
+        values = _loadtxt_rows(text, body, len(names))
+        if values is None:
+            values = _csv_rows(path, body, names)
+    except csv.Error as exc:
+        raise DataError(f"{path}: {exc}") from None
+    if len(values) == 0:
         raise DataError(f"{path}: no data rows")
-    return TimeSeriesRecord(sim_id, metadata[sim_id],
-                            np.array(rows, dtype=np.float64), names)
+    return TimeSeriesRecord(sim_id, metadata[sim_id], values, names)
+
+
+# float() does not strip these ASCII separators around a number; loadtxt does
+_LOADTXT_ONLY_WHITESPACE = "\x1c\x1d\x1e\x1f"
+
+
+def _loadtxt_rows(text: str, lines: list[str], n_columns: int
+                  ) -> np.ndarray | None:
+    """The data rows as np.loadtxt parses them, or None where _csv_rows could
+    parse them otherwise.
+
+    Each list item is one line to loadtxt, and one record to csv.reader
+    unless a quote joins lines, which loadtxt rejects as no number.
+    loadtxt skips blank lines, so a row count other than len(lines) goes
+    to _csv_rows. A cell loadtxt reads, float() reads to the same double,
+    except around the separators above.
+    """
+    if not lines or any(c in text for c in _LOADTXT_ONLY_WHITESPACE):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")   # "Empty input file" for blank lines
+            values = np.loadtxt(lines, delimiter=",", comments=None,
+                                dtype=np.float64, ndmin=2)
+    except ValueError:
+        return None
+    return values if values.shape == (len(lines), n_columns) else None
+
+
+def _csv_rows(path, lines: list[str], names: list[str]) -> np.ndarray:
+    """Parses every cell with float(), naming the first bad row and column."""
+    rows = []
+    for rowno, row in enumerate(csv.reader(lines), start=2):
+        if len(row) != len(names):
+            raise DataError(f"{path}:{rowno}: ragged row, {len(row)} cells "
+                            f"but {len(names)} columns")
+        try:
+            rows.append([float(cell) for cell in row])
+        except ValueError:
+            bad = next(i for i, cell in enumerate(row)
+                       if not _is_float(cell))
+            raise DataError(f"{path}:{rowno}: bad numeric cell in column "
+                            f"{names[bad]!r}: {row[bad]!r}") from None
+    return np.array(rows, dtype=np.float64)
 
 
 def _is_float(cell: str) -> bool:
@@ -297,10 +352,10 @@ def _is_float(cell: str) -> bool:
 
 def save_csv(record: TimeSeriesRecord, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(record.feature_names)
-        for row in record.values:
-            writer.writerow([repr(float(v)) for v in row])
+        csv.writer(fh).writerow(record.feature_names)
+        # the rows csv.writer would write: repr of a finite float needs no quotes
+        fh.writelines(",".join(map(repr, row)) + "\r\n"
+                      for row in record.values.tolist())
 
 
 def select_features(record: TimeSeriesRecord, names: list[str]) -> TimeSeriesRecord:

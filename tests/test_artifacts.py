@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vraets import artifacts
 from vraets.errors import DataError
@@ -107,6 +108,135 @@ class TestValidation:
         with pytest.raises(DataError, match="dtype"):
             artifacts.save_artifact(tmp_path / "x", "k", {},
                                     {"a": np.array(["s"], dtype=object)})
+
+
+def _write_header(path, header, payload=b""):
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + payload)
+
+
+def _header(arrays):
+    return {"magic": "vraets-artifact", "format_version": 1, "kind": "k",
+            "meta": {}, "arrays": arrays}
+
+
+class TestMalformedHeader:
+    @pytest.mark.parametrize("header", [[1, 2], "x", None, 3])
+    def test_header_not_an_object(self, tmp_path, header):
+        _write_header(tmp_path / "x", header)
+        with pytest.raises(DataError, match="not a JSON object"):
+            artifacts.load_artifact(tmp_path / "x")
+
+    @pytest.mark.parametrize("key", ["arrays", "kind", "meta"])
+    def test_missing_top_level_key(self, tmp_path, key):
+        header = _header([])
+        del header[key]
+        _write_header(tmp_path / "x", header)
+        with pytest.raises(DataError, match="header needs"):
+            artifacts.load_artifact(tmp_path / "x")
+
+    @pytest.mark.parametrize("key", ["name", "dtype", "shape"])
+    def test_entry_missing_field(self, tmp_path, key):
+        entry = {"name": "a", "dtype": "<f8", "shape": [1]}
+        del entry[key]
+        _write_header(tmp_path / "x", _header([entry]), b"\0" * 8)
+        with pytest.raises(DataError, match="needs name, dtype and shape"):
+            artifacts.load_artifact(tmp_path / "x")
+
+    @pytest.mark.parametrize("entry", [
+        {"name": 7, "dtype": "<f8", "shape": [1]},
+        {"name": "a", "dtype": ["<f8"], "shape": [1]},
+        {"name": "a", "dtype": "<f4", "shape": [1]},
+    ])
+    def test_entry_bad_name_or_dtype(self, tmp_path, entry):
+        _write_header(tmp_path / "x", _header([entry]), b"\0" * 8)
+        with pytest.raises(DataError, match="name|dtype"):
+            artifacts.load_artifact(tmp_path / "x")
+
+    @pytest.mark.parametrize("shape", [[-1], [2, -8], [1.0], [True], ["1"],
+                                       5, None])
+    def test_negative_or_non_integer_dimension(self, tmp_path, shape):
+        # a negative count once made fh.read return the rest of the file
+        entry = {"name": "a", "dtype": "<f8", "shape": shape}
+        _write_header(tmp_path / "x", _header([entry]), b"\0" * 64)
+        with pytest.raises(DataError, match="non-negative integers"):
+            artifacts.load_artifact(tmp_path / "x")
+
+    def test_duplicate_array_names(self, tmp_path):
+        entry = {"name": "a", "dtype": "<f8", "shape": [1]}
+        _write_header(tmp_path / "x", _header([entry, entry]), b"\0" * 16)
+        with pytest.raises(DataError, match="duplicate array name 'a'"):
+            artifacts.load_artifact(tmp_path / "x")
+
+    def test_trailing_bytes(self, tmp_path):
+        path = tmp_path / "x.artifact"
+        artifacts.save_artifact(path, "latents", {}, _sample_arrays())
+        path.write_bytes(path.read_bytes() + b"garbage")
+        with pytest.raises(DataError, match="7 trailing bytes"):
+            artifacts.load_artifact(path)
+
+    def test_huge_shape_is_truncated_not_allocated(self, tmp_path):
+        entry = {"name": "a", "dtype": "<f8", "shape": [2 ** 40, 2 ** 40]}
+        _write_header(tmp_path / "x", _header([entry]), b"\0" * 8)
+        with pytest.raises(DataError, match="truncated"):
+            artifacts.load_artifact(tmp_path / "x")
+
+    def test_empty_and_scalar_shapes_load(self, tmp_path):
+        path = tmp_path / "x"
+        _write_header(path, _header([
+            {"name": "e", "dtype": "<f8", "shape": [0, 3]},
+            {"name": "s", "dtype": "<i8", "shape": []}]),
+            np.array(5, dtype="<i8").tobytes())
+        _, _, arrays = artifacts.load_artifact(path)
+        assert arrays["e"].shape == (0, 3) and arrays["s"].shape == ()
+        assert int(arrays["s"]) == 5
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-2, 2)
+    | st.sampled_from(["a", "<f8", "<i8", "name", "dtype", "shape"]),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.sampled_from(["name", "dtype", "shape", "x"]), kids,
+                      max_size=4),
+    max_leaves=12)
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "x"
+
+
+class TestFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(max_size=120))
+    def test_arbitrary_bytes_raise_only_data_error(self, fuzz_path, raw):
+        fuzz_path.write_bytes(raw)
+        try:
+            artifacts.load_artifact(fuzz_path)
+        except DataError:
+            pass
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_JSON, max_size=3), st.binary(max_size=40))
+    def test_arbitrary_array_entries_raise_only_data_error(
+            self, fuzz_path, entries, payload):
+        _write_header(fuzz_path, _header(entries), payload)
+        try:
+            artifacts.load_artifact(fuzz_path)
+        except DataError:
+            pass
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 400), st.integers(0, 8), st.binary(max_size=8))
+    def test_spliced_artifact_raises_only_data_error(
+            self, fuzz_path, at, cut, insert):
+        artifacts.save_artifact(fuzz_path, "k", {"m": 1}, _sample_arrays())
+        data = fuzz_path.read_bytes()
+        at = min(at, len(data))
+        fuzz_path.write_bytes(data[:at] + insert + data[at + cut:])
+        try:
+            artifacts.load_artifact(fuzz_path)
+        except DataError:
+            pass
 
 
 class TestManifest:

@@ -3,6 +3,7 @@ codes, artifact chaining, reproducibility manifests, and SVG output."""
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -220,6 +221,37 @@ class TestExitCodes:
         assert code == 2
         assert "epochs" in capsys.readouterr().err
         assert not (tmp_path / "model.ckpt").exists()
+
+    @pytest.mark.parametrize("name", ["sim_003.csv", "metadata.csv"])
+    def test_non_utf8_input_file_is_2(self, pipeline_dir, mini_config,
+                                      tmp_path, capsys, name):
+        data = tmp_path / "data"
+        shutil.copytree(pipeline_dir["data"], data)
+        target = data / name
+        target.write_bytes(target.read_bytes() + b"\xff\n")
+        code = main(["preprocess", "--config", mini_config, "--data",
+                     str(data), "--out", str(tmp_path / "prep")])
+        assert code == 2
+        assert f"{name}: not UTF-8" in capsys.readouterr().err
+
+    def test_non_utf8_config_is_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"synth.n_steps = 1200 # \xff\n")
+        code = main(["generate", "--config", str(cfg),
+                     "--out", str(tmp_path / "data")])
+        assert code == 2
+        assert "bad.cfg: not UTF-8" in capsys.readouterr().err
+
+    def test_trailing_bytes_in_latents_is_2(self, pipeline_dir, tmp_path,
+                                            capsys):
+        latents = tmp_path / "latents"
+        shutil.copy(pipeline_dir["latents"], latents)
+        with open(latents, "ab") as fh:
+            fh.write(b"garbage")
+        code = main(["project", "--latents", str(latents), "--method", "pca",
+                     "--out", str(tmp_path / "embedding")])
+        assert code == 2
+        assert "trailing bytes" in capsys.readouterr().err
 
     def test_unknown_preset_rejected_by_argparse(self):
         assert main(["generate", "--preset", "bogus", "--out", "x"]) == 1

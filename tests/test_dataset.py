@@ -1,6 +1,9 @@
+import csv
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from vraets import dataset
 from vraets.dataset import (FEATURE_NAMES, IceConfig, MinMaxScaler,
@@ -123,6 +126,176 @@ class TestCsvRoundtrip:
         (tmp_path / "metadata.csv").write_text("other,0-0-0\n")
         with pytest.raises(DataError, match="missing from metadata"):
             dataset.load_csv(tmp_path / "s.csv")
+
+    def test_duplicate_sim_id_names_both_lines(self, tmp_path):
+        meta = tmp_path / "metadata.csv"
+        meta.write_text("a,0-0-0\n# note\nb,0-0-0\na,0.4-0-0\n")
+        with pytest.raises(DataError, match=r"metadata\.csv:4: duplicate "
+                                            r"sim_id 'a', first on line 1"):
+            dataset.read_metadata(meta)
+
+    @pytest.mark.parametrize("text", ["a" * 200_000 + "\n1\n",
+                                      "a\n" + "1" * 200_000 + "x\n"])
+    def test_cell_over_csv_field_limit_is_data_error(self, tmp_path, text):
+        (tmp_path / "s.csv").write_text(text)
+        with pytest.raises(DataError, match="field limit"):
+            dataset.load_csv(tmp_path / "s.csv", {"s": IceConfig()})
+
+
+def reference_load_csv(path, metadata):
+    """The csv.reader + float() parser that load_csv's numpy path must
+    match value for value and error for error."""
+    sim_id = "s"
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            names = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: empty file") from None
+        names = [n.strip() for n in names]
+        rows = []
+        for rowno, row in enumerate(reader, start=2):
+            if len(row) != len(names):
+                raise DataError(f"{path}:{rowno}: ragged row, {len(row)} cells "
+                                f"but {len(names)} columns")
+            try:
+                rows.append([float(cell) for cell in row])
+            except ValueError:
+                bad = next(i for i, cell in enumerate(row)
+                           if not dataset._is_float(cell))
+                raise DataError(f"{path}:{rowno}: bad numeric cell in column "
+                                f"{names[bad]!r}: {row[bad]!r}") from None
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    return TimeSeriesRecord(sim_id, metadata[sim_id],
+                            np.array(rows, dtype=np.float64), names)
+
+
+def reference_save_csv(record, path):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(record.feature_names)
+        for row in record.values:
+            writer.writerow([repr(float(v)) for v in row])
+
+
+def load_outcome(load, path):
+    """What a loader makes of a file: its names, shape and value bytes, or
+    its DataError message."""
+    try:
+        rec = load(path, {"s": IceConfig()})
+    except DataError as exc:
+        return "error", str(exc)
+    return rec.feature_names, rec.values.shape, rec.values.tobytes()
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv") / "s.csv"
+
+
+# ±0, subnormals and the extremes next to any finite double
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+                1e308, -1e308, 1.7976931348623157e308, 1e-300, 0.1]
+_FINITE = st.one_of(st.sampled_from(_EDGE_FLOATS),
+                    st.floats(allow_nan=False, allow_infinity=False))
+
+
+class TestCsvFastPath:
+    @settings(max_examples=60, deadline=None)
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 12),
+                                            st.integers(1, 8)),
+                      elements=_FINITE))
+    def test_roundtrip_matches_reference_bit_for_bit(self, csv_path, values):
+        rec = make_record(values, sim_id="s")
+        reference_save_csv(rec, csv_path)
+        ref_bytes = csv_path.read_bytes()
+        dataset.save_csv(rec, csv_path)
+        assert csv_path.read_bytes() == ref_bytes
+        got = load_outcome(dataset.load_csv, csv_path)
+        assert got == load_outcome(reference_load_csv, csv_path)
+        assert got[2] == values.tobytes()
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\n", "\r"])
+    def test_plain_file_skips_the_cell_loop(self, csv_path, monkeypatch,
+                                            newline):
+        rec = dataset.synthesize(SynthConfig(seed=3), IceConfig(), 300)
+        dataset.save_csv(rec, csv_path)
+        csv_path.write_bytes(csv_path.read_bytes().replace(
+            b"\r\n", newline.encode()))
+
+        def cell_loop(*args):
+            raise AssertionError("the csv.reader + float() loop ran")
+        monkeypatch.setattr(dataset, "_csv_rows", cell_loop)
+        got = dataset.load_csv(csv_path, {"s": IceConfig()})
+        assert got.values.tobytes() == rec.values.tobytes()
+
+    @pytest.mark.parametrize("text, expect", [
+        ("a,b\n1,2\n\n3,4\n", "s.csv:3: ragged row, 0 cells"),
+        ("a,b\n1,2\n3,4\n\n", "s.csv:4: ragged row, 0 cells"),
+        ("a,b\n1,2\n  \n", "s.csv:3: ragged row, 1 cells"),
+        ("a\n1\n \t\n", "s.csv:3: bad numeric cell in column 'a': ' \\t'"),
+        ("a,b\n", "s.csv: no data rows"),
+        ("a,b", "s.csv: no data rows"),
+        ("", "s.csv: empty file"),
+        ("a,b\n1,2\x0c3,4\n", "s.csv:2: ragged row, 3 cells"),
+        ("a,b\n\x0c1,2\x0c\n", [[1.0, 2.0]]),
+        ("a,b\n\x1c1,2\n", "s.csv:2: bad numeric cell in column 'a': '\\x1c1'"),
+        ("a,b\n1,2\x1f\n", "s.csv:2: bad numeric cell in column 'b'"),
+        ('a,b\n"1",2\n', [[1.0, 2.0]]),
+        ('"a,b",c\n1,"2\n3"\n', "s.csv:2: bad numeric cell in column 'c'"),
+        ('"a\nb",c\n1,2\n', [[1.0, 2.0]]),
+        ("a,b\n1_0,2\n", [[10.0, 2.0]]),
+        ("a\n١٢\n", [[12.0]]),
+        ("a,b\n1#2,3\n", "s.csv:2: bad numeric cell in column 'a': '1#2'"),
+        ("a,b\n#1,2\n", "s.csv:2: bad numeric cell in column 'a': '#1'"),
+        ("a,b\n1,2,\n", "s.csv:2: ragged row, 3 cells"),
+        ("a,b\n1,,\n", "s.csv:2: ragged row, 3 cells"),
+        ("a,b\n1, \n", "s.csv:2: bad numeric cell in column 'b': ' '"),
+        ("a,b\r\n1,2\r\n3,4\r\n", [[1.0, 2.0], [3.0, 4.0]]),
+        ("a,b\r1,2\r3,4\r", [[1.0, 2.0], [3.0, 4.0]]),
+        ("a,b\n1,2\r\n3,4\r", [[1.0, 2.0], [3.0, 4.0]]),
+        ("a,b\n1,2\n\r\n3,4\n", "s.csv:3: ragged row, 0 cells"),
+        ("a,b\n1,2\n3,4", [[1.0, 2.0], [3.0, 4.0]]),
+        (" a , b \n 1 ,\t2 \n", [[1.0, 2.0]]),
+        ("a,b\n1,nan\n", "s: non-finite sensor values"),
+        ("a,b\ninf,2\n", "s: non-finite sensor values"),
+        ("a,b\n-Infinity,2\n", "s: non-finite sensor values"),
+        ("a,b\n1e999,2\n", "s: non-finite sensor values"),
+        ("a,b\n0x10,2\n", "s.csv:2: bad numeric cell in column 'a'"),
+        ("a,b\n1\x002,3\n", "s.csv:2: bad numeric cell in column 'a'"),
+        ("\n\n\n", ([], (2, 0))),
+    ])
+    def test_edge_cases_match_reference(self, csv_path, text, expect):
+        csv_path.write_bytes(text.encode("utf-8"))
+        got = load_outcome(dataset.load_csv, csv_path)
+        assert got == load_outcome(reference_load_csv, csv_path)
+        if isinstance(expect, str):
+            assert got[0] == "error" and expect in got[1]
+        elif isinstance(expect, tuple):
+            assert got[:2] == expect
+        else:
+            assert got[2] == np.array(expect, dtype=np.float64).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 3),
+           st.text(alphabet="0123456789.,-+eE_ \t\r\n\x0c\x1c\x1f\"#"
+                            "nafiINF\xa0١ ", max_size=40))
+    def test_csv_like_text_matches_reference(self, csv_path, n_columns, body):
+        header = ",".join(f"c{i}" for i in range(n_columns)) + "\n"
+        csv_path.write_bytes((header + body).encode("utf-8"))
+        assert load_outcome(dataset.load_csv, csv_path) \
+            == load_outcome(reference_load_csv, csv_path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.binary(max_size=80),
+                     st.binary(max_size=80).map(lambda b: b"a,b\n1,2\n" + b)))
+    def test_arbitrary_bytes_raise_only_data_error(self, csv_path, raw):
+        csv_path.write_bytes(raw)
+        try:
+            dataset.load_csv(csv_path, {"s": IceConfig()})
+        except DataError:
+            pass
 
 
 class TestSelectFeatures:
