@@ -94,6 +94,16 @@ def load_artifact(path, expect_kind: str | None = None):
     return kind, meta, arrays
 
 
+def require_keys(path, meta: dict, arrays: dict, meta_keys=(),
+                 array_names=()) -> None:
+    """DataError naming each metadata key and array that a reader needs
+    and the artifact lacks; load_artifact only checks the format."""
+    missing = [f"meta key {k!r}" for k in meta_keys if k not in meta]
+    missing += [f"array {a!r}" for a in array_names if a not in arrays]
+    if missing:
+        raise DataError(f"{path}: missing {', '.join(missing)}")
+
+
 def _parse_entry(path, ent) -> tuple[str, np.dtype, tuple[int, ...]]:
     """(name, dtype, shape) of one header array entry, each checked."""
     if not isinstance(ent, dict) or not {"name", "dtype", "shape"} <= ent.keys():

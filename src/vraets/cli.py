@@ -193,7 +193,9 @@ def cmd_encode(args) -> None:
 def cmd_project(args) -> None:
     cfg = _resolve(args)
     method = args.method or cfg["project.method"]
-    _, _, arrays = artifacts.load_artifact(args.latents, expect_kind="latents")
+    _, meta, arrays = artifacts.load_artifact(args.latents,
+                                              expect_kind="latents")
+    artifacts.require_keys(args.latents, meta, arrays, (), ("mus", "labels"))
     X, labels = arrays["mus"], arrays["labels"]
     if method == "pca":
         emb = projection.pca(X, 2)

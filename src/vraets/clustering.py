@@ -43,6 +43,8 @@ class ClusterAssignment:
     @classmethod
     def load(cls, path) -> "ClusterAssignment":
         _, meta, arrays = artifacts.load_artifact(path, expect_kind="assignment")
+        artifacts.require_keys(path, meta, arrays, ("method", "params"),
+                               ("labels",))
         return cls(arrays["labels"], meta["method"], meta["params"],
                    arrays.get("centroids"), meta.get("inertia"))
 

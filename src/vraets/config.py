@@ -91,8 +91,12 @@ def parse_config_file(path) -> dict:
                     raise DataError(f"{path}:{lineno}: unknown key {key!r}")
                 try:
                     overrides[key] = json.loads(value)
-                except json.JSONDecodeError:
+                except ValueError:
+                    # not JSON, or an integer past Python's digit limit
                     overrides[key] = value
+                except RecursionError:
+                    raise DataError(f"{path}:{lineno}: value of {key!r} "
+                                    f"is nested too deeply") from None
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
     return overrides

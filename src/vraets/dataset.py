@@ -491,8 +491,14 @@ def save_windows(dataset: WindowedDataset, path) -> None:
 
 def load_windows(path) -> WindowedDataset:
     _, meta, arrays = artifacts.load_artifact(path, expect_kind="windows")
+    scaler_names = ("scaler_mins", "scaler_maxs")
+    scaled = any(name in arrays for name in scaler_names)
+    artifacts.require_keys(path, meta, arrays,
+                           ("window_length", "stride", "feature_names"),
+                           ("windows", "labels") + (scaler_names if scaled
+                                                    else ()))
     scaler = None
-    if "scaler_mins" in arrays:
+    if scaled:
         scaler = MinMaxScaler(arrays["scaler_mins"], arrays["scaler_maxs"])
     return WindowedDataset(arrays["windows"], arrays["labels"],
                            int(meta["window_length"]), int(meta["stride"]),

@@ -45,6 +45,8 @@ class Embedding:
     @classmethod
     def load(cls, path) -> tuple["Embedding", np.ndarray | None]:
         _, meta, arrays = artifacts.load_artifact(path, expect_kind="embedding")
+        artifacts.require_keys(path, meta, arrays,
+                               ("method", "params", "source_dim"), ("points",))
         emb = cls(arrays["points"], meta["method"], meta["params"],
                   int(meta["source_dim"]))
         return emb, arrays.get("labels")
@@ -170,15 +172,19 @@ def tsne(X: np.ndarray, perplexity: float = 30.0, iterations: int = 1000,
     """Exact O(N^2) t-SNE to 2D with PCA initialization.
 
     Gradient descent with momentum (0.5 before, 0.8 after the
-    exaggeration phase); the KL(P||Q) value per iteration is recorded in
-    extras["kl_trace"]. With the deterministic PCA init the result does
-    not depend on the seed argument, which is kept for interface
-    stability.
+    exaggeration phase). extras["kl_trace"] holds one float per
+    iteration: KL(P||Q) at every 50th iteration (0, 50, 100, ...) and at
+    the last one, nan elsewhere. With the deterministic PCA init the
+    result does not depend on the seed argument, which is kept for
+    interface stability.
     """
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
     if n < 4:
         raise DataError("tsne: need at least 4 points")
+    if iterations < 1:
+        raise DataError(f"tsne: iterations must be at least 1, "
+                        f"got {iterations}")
     P = tsne_affinities(X, perplexity)
 
     k0 = min(2, X.shape[1], n - 1) if min(n, X.shape[1]) >= 2 else 1
@@ -188,21 +194,42 @@ def tsne(X: np.ndarray, perplexity: float = 30.0, iterations: int = 1000,
     spread = init[:, 0].std()
     Y = init * (1e-4 / spread) if spread > 0 else init
 
+    # two n x n buffers take every step of every iteration, in the
+    # operation order of _sq_distances and of the plain formulas, so the
+    # bits match them; only the KL, at one iteration in 50, allocates.
+    # Off the diagonal 0 - PQ, not -PQ, gives the bits np.diag(s) - PQ
+    # gave, down to the sign of a zero
+    A = np.empty((n, n))
+    B = np.empty((n, n))
+    exag_P = early_exaggeration * P
     velocity = np.zeros_like(Y)
-    kl_trace = []
+    kl_trace = [np.nan] * iterations
     for it in range(iterations):
-        exag = early_exaggeration if it < exaggeration_iters else 1.0
-        momentum = 0.5 if it < exaggeration_iters else 0.8
-        d2 = _sq_distances(Y)
-        num = 1.0 / (1.0 + d2)
-        np.fill_diagonal(num, 0.0)
-        Q = np.maximum(num / np.sum(num), _EPS)
-        PQ = (exag * P - Q) * num
-        grad = 4.0 * ((np.diag(PQ.sum(axis=1)) - PQ) @ Y)
+        exaggerating = it < exaggeration_iters
+        momentum = 0.5 if exaggerating else 0.8
+        sq = np.sum(Y * Y, axis=1)
+        np.matmul(Y, Y.T, out=A)
+        np.add(sq[:, None], sq[None, :], out=B)
+        np.multiply(2.0, A, out=A)
+        np.subtract(B, A, out=B)
+        np.fill_diagonal(B, 0.0)
+        np.maximum(B, 0.0, out=B)             # B = d2
+        np.add(1.0, B, out=B)
+        np.divide(1.0, B, out=B)
+        np.fill_diagonal(B, 0.0)              # B = num
+        np.divide(B, np.sum(B), out=A)
+        np.maximum(A, _EPS, out=A)            # A = Q
+        if it % 50 == 0 or it == iterations - 1:
+            kl_trace[it] = float(np.sum(P * np.log(P / A)))
+        np.subtract(exag_P if exaggerating else P, A, out=A)
+        np.multiply(A, B, out=A)              # A = PQ
+        s = A.sum(axis=1)
+        np.subtract(0.0, A, out=B)
+        np.fill_diagonal(B, s - A.diagonal())  # B = diag(s) - PQ
+        grad = 4.0 * (B @ Y)
         velocity = momentum * velocity - learning_rate * grad
         Y = Y + velocity
         Y = Y - Y.mean(axis=0)
-        kl_trace.append(float(np.sum(P * np.log(P / Q))))
     return Embedding(Y, "tsne",
                      {"perplexity": perplexity, "iterations": iterations,
                       "seed": seed, "learning_rate": learning_rate},

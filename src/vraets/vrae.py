@@ -335,7 +335,13 @@ class Checkpoint:
     @classmethod
     def load(cls, path) -> "Checkpoint":
         _, meta, arrays = artifacts.load_artifact(path, expect_kind="checkpoint")
-        config = VraeConfig.from_dict(meta["config"])
+        artifacts.require_keys(path, meta, arrays,
+                               ("config", "epoch", "adam_step", "history"))
+        try:
+            config = VraeConfig.from_dict(meta["config"])
+        except (TypeError, ValueError, KeyError) as exc:
+            raise DataError(f"{path}: bad model config in checkpoint "
+                            f"({exc!r})") from None
         params = {k.split("/", 1)[1]: v for k, v in arrays.items()
                   if k.startswith("param/")}
         _check_shapes(config, params)

@@ -253,6 +253,51 @@ class TestExitCodes:
         assert code == 2
         assert "trailing bytes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("iterations", [0, -3])
+    def test_nonpositive_tsne_iterations_is_2(self, pipeline_dir, tmp_path,
+                                              capsys, iterations):
+        # it used to save the scaled PCA initialisation as the embedding
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"project.iterations = {iterations}\n")
+        code = main(["project", "--config", str(cfg), "--latents",
+                     pipeline_dir["latents"], "--method", "tsne",
+                     "--out", str(tmp_path / "embedding")])
+        assert code == 2
+        assert "iterations" in capsys.readouterr().err
+        assert not (tmp_path / "embedding").exists()
+
+    @pytest.mark.parametrize("source, drop_meta, drop_array, argv, missing", [
+        ("train.windows", True, None,
+         ["train", "--train-data", "{bad}"], "meta key 'window_length'"),
+        ("latents", False, "mus",
+         ["project", "--method", "pca", "--latents", "{bad}"], "array 'mus'"),
+        ("embedding", True, None,
+         ["cluster", "--embedding", "{bad}"], "meta key 'method'"),
+        ("model.ckpt", True, None,
+         ["encode", "--checkpoint", "{bad}", "--data", "{test}"],
+         "meta key 'config'"),
+        ("assignment", True, None,
+         ["score", "--assignment", "{bad}", "--embedding", "{embedding}"],
+         "meta key 'method'"),
+    ], ids=["windows", "latents", "embedding", "checkpoint", "assignment"])
+    def test_artifact_missing_key_is_2(self, pipeline_dir, tmp_path, capsys,
+                                       source, drop_meta, drop_array, argv,
+                                       missing):
+        # valid to load_artifact, but without what the reader needs
+        src = pipeline_dir[source] if source in pipeline_dir else \
+            os.path.join(pipeline_dir["prep"], source)
+        kind, meta, arrays = artifacts.load_artifact(src)
+        arrays.pop(drop_array, None)
+        bad = str(tmp_path / "bad")
+        artifacts.save_artifact(bad, kind, {} if drop_meta else meta, arrays)
+        paths = {"bad": bad, "embedding": pipeline_dir["embedding"],
+                 "test": os.path.join(pipeline_dir["prep"], "test.windows")}
+        code = main([a.format(**paths) for a in argv]
+                    + ["--out", str(tmp_path / "out")])
+        assert code == 2
+        assert missing in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_preset_rejected_by_argparse(self):
         assert main(["generate", "--preset", "bogus", "--out", "x"]) == 1
 

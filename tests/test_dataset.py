@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from vraets import dataset
+from vraets import artifacts, dataset
 from vraets.dataset import (FEATURE_NAMES, IceConfig, MinMaxScaler,
                             SynthConfig, TimeSeriesRecord)
 from vraets.errors import DataError
@@ -512,3 +512,21 @@ class TestWindowsRoundtrip:
         np.testing.assert_array_equal(loaded.labels, ds.labels)
         assert loaded.window_length == ds.window_length
         np.testing.assert_array_equal(loaded.scaler.mins, scaler.mins)
+
+    @pytest.mark.parametrize("drop", ["scaler_mins", "scaler_maxs",
+                                      "labels"])
+    def test_missing_array_is_data_error(self, tmp_path, drop):
+        ds = two_class_windows()
+        ds = dataset.scale_windows(ds, dataset.fit_minmax([ds.windows]))
+        path = tmp_path / "w.windows"
+        dataset.save_windows(ds, path)
+        kind, meta, arrays = artifacts.load_artifact(path)
+        del arrays[drop]
+        artifacts.save_artifact(path, kind, meta, arrays)
+        with pytest.raises(DataError, match=f"missing array '{drop}'"):
+            dataset.load_windows(path)
+
+    def test_unscaled_windows_load_without_scaler(self, tmp_path):
+        path = tmp_path / "w.windows"
+        dataset.save_windows(two_class_windows(), path)
+        assert dataset.load_windows(path).scaler is None

@@ -227,6 +227,77 @@ class TestTsne:
         with pytest.raises(DataError):
             projection.tsne(_random_data(3, 2), perplexity=2.0)
 
+    @pytest.mark.parametrize("iterations", [0, -3])
+    def test_nonpositive_iterations(self, iterations):
+        with pytest.raises(DataError, match="iterations"):
+            projection.tsne(_random_data(10, 3), perplexity=3.0,
+                            iterations=iterations)
+
+
+def _tsne_reference(X, perplexity, iterations, learning_rate=200.0,
+                    early_exaggeration=12.0, exaggeration_iters=250):
+    """The t-SNE loop as it was before it ran in two preallocated
+    buffers: fresh n x n temporaries and the KL at every iteration.
+    Returns (points, kl_trace)."""
+    n = X.shape[0]
+    P = projection.tsne_affinities(X, perplexity)
+    k0 = min(2, X.shape[1], n - 1) if min(n, X.shape[1]) >= 2 else 1
+    init = projection.pca(X, k0).points
+    if init.shape[1] < 2:
+        init = np.hstack([init, np.zeros((n, 1))])
+    spread = init[:, 0].std()
+    Y = init * (1e-4 / spread) if spread > 0 else init
+    velocity = np.zeros_like(Y)
+    kl_trace = []
+    for it in range(iterations):
+        exag = early_exaggeration if it < exaggeration_iters else 1.0
+        momentum = 0.5 if it < exaggeration_iters else 0.8
+        sq = np.sum(Y * Y, axis=1)
+        d2 = sq[:, None] + sq[None, :] - 2.0 * (Y @ Y.T)
+        np.fill_diagonal(d2, 0.0)
+        d2 = np.maximum(d2, 0.0)
+        num = 1.0 / (1.0 + d2)
+        np.fill_diagonal(num, 0.0)
+        Q = np.maximum(num / np.sum(num), projection._EPS)
+        PQ = (exag * P - Q) * num
+        grad = 4.0 * ((np.diag(PQ.sum(axis=1)) - PQ) @ Y)
+        velocity = momentum * velocity - learning_rate * grad
+        Y = Y + velocity
+        Y = Y - Y.mean(axis=0)
+        kl_trace.append(float(np.sum(P * np.log(P / Q))))
+    return Y, np.array(kl_trace)
+
+
+def _duplicated_points():
+    # 12 distinct points, each three times: d2 has off-diagonal zeros
+    base = _random_data(12, 4, seed=30)
+    return np.repeat(base, 3, axis=0)[SeededRng(31).permutation(36)]
+
+
+class TestTsneMatchesReference:
+    """Points and every recorded KL value equal to the reference loop,
+    bit for bit; the KL is nan where the loop does not compute it."""
+
+    @pytest.mark.parametrize("X, perplexity, iterations", [
+        (_random_data(5, 3, seed=32), 3.0, 30),       # below 50
+        (_random_data(37, 5, seed=33), 10.0, 200),    # exaggeration only
+        (_random_data(120, 4, seed=34), 30.0, 301),
+        (_duplicated_points(), 8.0, 301),
+        (_random_data(30, 1, seed=35), 8.0, 120),     # 1-D: padded init
+    ], ids=["n5-it30", "n37-it200", "n120-it301", "duplicates", "1d"])
+    def test_bit_equal(self, X, perplexity, iterations):
+        emb = projection.tsne(X, perplexity=perplexity, iterations=iterations)
+        points, kl = _tsne_reference(X, perplexity, iterations)
+        np.testing.assert_array_equal(emb.points, points)
+        assert emb.points.tobytes() == points.tobytes()   # signs of zeros
+        trace = np.array(emb.extras["kl_trace"])
+        assert trace.shape == (iterations,)
+        recorded = np.zeros(iterations, dtype=bool)
+        recorded[::50] = True
+        recorded[-1] = True
+        np.testing.assert_array_equal(trace[recorded], kl[recorded])
+        assert np.all(np.isnan(trace[~recorded]))
+
 
 # ------------------------------------------------------ spectral maps
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vraets import vrae
+from vraets import artifacts, vrae
 from vraets.dataset import WindowedDataset
 from vraets.errors import DataError
 from vraets.numerics import SeededRng, finite_difference_gradient
@@ -328,6 +328,19 @@ class TestCheckpoint:
         path = tmp_path / "bad.ckpt"
         ckpt.save(path)
         with pytest.raises(DataError):
+            Checkpoint.load(path)
+
+    @pytest.mark.parametrize("config", [{}, {"input_dim": 2}, [1, 2],
+                                        {"anneal": {}, "bogus": 1}])
+    def test_bad_config_in_meta_on_load(self, tmp_path, config):
+        ds = toy_dataset()
+        cfg = VraeConfig(input_dim=2, hidden_units=4, latent_dim=2, epochs=1,
+                         seed=2)
+        path = tmp_path / "a.ckpt"
+        train(cfg, ds).save(path)
+        kind, meta, arrays = artifacts.load_artifact(path)
+        artifacts.save_artifact(path, kind, {**meta, "config": config}, arrays)
+        with pytest.raises(DataError, match="bad model config"):
             Checkpoint.load(path)
 
 
