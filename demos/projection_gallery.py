@@ -45,8 +45,7 @@ def main():
     embeddings = {
         "pca": projection.pca(mus, 2),
         "kernel_pca": projection.kernel_pca_rbf(mus, 2),
-        "tsne": projection.tsne(mus, perplexity=10.0, iterations=500,
-                                seed=SEED),
+        "tsne": projection.tsne(mus, perplexity=10.0, iterations=500),
         "spectral": projection.spectral_embedding(mus, k_neighbors=10),
     }
 

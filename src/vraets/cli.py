@@ -197,12 +197,17 @@ def cmd_project(args) -> None:
                                               expect_kind="latents")
     artifacts.require_keys(args.latents, meta, arrays, (), ("mus", "labels"))
     X, labels = arrays["mus"], arrays["labels"]
+    if X.ndim != 2:
+        raise DataError(f"{args.latents}: mus must be 2-D, got shape "
+                        f"{X.shape}")
+    if labels.shape != (X.shape[0],):
+        raise DataError(f"{args.latents}: labels have shape {labels.shape} "
+                        f"for {X.shape[0]} rows of mus")
     if method == "pca":
         emb = projection.pca(X, 2)
     elif method == "tsne":
         emb = projection.tsne(X, perplexity=float(cfg["project.perplexity"]),
-                              iterations=int(cfg["project.iterations"]),
-                              seed=int(cfg["seed"]))
+                              iterations=int(cfg["project.iterations"]))
     elif method == "kpca":
         gamma = cfg["project.gamma"]
         emb = projection.kernel_pca_rbf(

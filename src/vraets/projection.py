@@ -12,6 +12,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import eigh
 
 from vraets import artifacts
 from vraets.errors import DataError
@@ -47,9 +48,18 @@ class Embedding:
         _, meta, arrays = artifacts.load_artifact(path, expect_kind="embedding")
         artifacts.require_keys(path, meta, arrays,
                                ("method", "params", "source_dim"), ("points",))
-        emb = cls(arrays["points"], meta["method"], meta["params"],
-                  int(meta["source_dim"]))
-        return emb, arrays.get("labels")
+        points, labels = arrays["points"], arrays.get("labels")
+        source_dim = meta["source_dim"]
+        if type(source_dim) is not int:
+            raise DataError(f"{path}: source_dim must be an integer, got "
+                            f"{source_dim!r}")
+        if points.ndim != 2:
+            raise DataError(f"{path}: points must be 2-D, got shape "
+                            f"{points.shape}")
+        if labels is not None and labels.shape != (points.shape[0],):
+            raise DataError(f"{path}: labels have shape {labels.shape} for "
+                            f"{points.shape[0]} points")
+        return cls(points, meta["method"], meta["params"], source_dim), labels
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -101,20 +111,29 @@ def default_gamma(X: np.ndarray) -> float:
 
 def kernel_pca_rbf(X: np.ndarray, k: int = 2, gamma: float | None = None
                    ) -> Embedding:
-    """RBF kernel PCA: double-centered kernel, scores scaled by sqrt(eigval)."""
+    """RBF kernel PCA: double-centered kernel, scores scaled by sqrt(eigval).
+
+    K is centred with its column, row and grand means, and only the top
+    k eigenpairs of the centred matrix are computed.
+    """
     X = np.asarray(X, dtype=np.float64)
+    n = X.shape[0]
+    if not 1 <= k <= n:
+        raise DataError(f"kernel_pca_rbf: k={k} out of range for {n} points")
     if gamma is None:
         gamma = default_gamma(X)
     if gamma <= 0:
         raise DataError(f"kernel_pca_rbf: gamma must be positive, got {gamma}")
-    n = X.shape[0]
-    K = np.exp(-gamma * _sq_distances(X))
-    one = np.full((n, n), 1.0 / n)
-    Kc = K - one @ K - K @ one + one @ K @ one
-    eigvals, eigvecs = np.linalg.eigh(Kc)
-    order = np.argsort(eigvals)[::-1][:k]
-    vals = np.maximum(eigvals[order], 0.0)
-    vecs = _fix_signs(eigvecs[:, order])
+    Kc = np.exp(-gamma * _sq_distances(X))
+    # K is symmetric, so its column means are its row means
+    means = Kc.mean(axis=0)
+    Kc -= means[None, :]
+    Kc -= means[:, None]
+    Kc += means.mean()
+    eigvals, eigvecs = eigh(Kc, overwrite_a=True,
+                            subset_by_index=[n - k, n - 1])
+    vals = np.maximum(eigvals[::-1], 0.0)
+    vecs = _fix_signs(eigvecs[:, ::-1])
     scores = vecs * np.sqrt(vals)[None, :]
     return Embedding(scores, "kernel_pca_rbf", {"k": k, "gamma": gamma},
                      X.shape[1], extras={"eigenvalues": vals})
@@ -123,34 +142,55 @@ def kernel_pca_rbf(X: np.ndarray, k: int = 2, gamma: float | None = None
 def _binary_search_bandwidths(d2: np.ndarray, perplexity: float,
                               tol: float = 1e-5, max_iter: int = 100
                               ) -> np.ndarray:
-    """Per-point conditional distributions matching log2(perplexity) entropy."""
+    """Per-point conditional distributions matching log2(perplexity) entropy.
+
+    Each row bisects its own precision beta; all rows still searching
+    step together, and a row leaves the search once its entropy is
+    within tol of the target. A row gets the same bits as a search over
+    that row alone.
+    """
     n = d2.shape[0]
     target = np.log2(perplexity)
+    # (n, n - 1): row i of d2 without its diagonal entry
+    off = d2.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :-1].reshape(n, n - 1)
+    cond = np.empty((n, n - 1))
+    beta = np.ones(n)
+    lo = np.zeros(n)
+    hi = np.full(n, np.inf)
+    rows = np.arange(n)
+    for it in range(max_iter):
+        # -d * beta as d * -beta: the same product, bit for bit
+        p = (off if rows.size == n else off[rows]) * -beta[rows, None]
+        np.exp(p, out=p)
+        s = np.sum(p, axis=1)
+        empty = s <= 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(p, s[:, None], out=p)
+            p[empty] = 0.0
+            terms = np.log2(p)
+            terms *= p                  # nan where p underflowed to 0
+        h = -np.sum(terms, axis=1)
+        # zeros between the nonzero terms would change how the sum pairs
+        # them, so rows with a zero sum their nonzero terms alone
+        for r in np.flatnonzero(np.isnan(h) & ~empty):
+            h[r] = -np.sum(terms[r][p[r] > 0])
+        h[empty] = 0.0
+        done = np.abs(h - target) < tol
+        if it == max_iter - 1:
+            done[:] = True
+        cond[rows[done]] = p[done]
+        up = rows[~done & (h > target)]
+        down = rows[~done & ~(h > target)]
+        lo[up] = beta[up]
+        beta[up] = np.where(hi[up] == np.inf, beta[up] * 2.0,
+                            (beta[up] + hi[up]) / 2.0)
+        hi[down] = beta[down]
+        beta[down] = (lo[down] + beta[down]) / 2.0
+        rows = rows[~done]
+        if rows.size == 0:
+            break
     P = np.zeros((n, n))
-    for i in range(n):
-        lo, hi = 0.0, np.inf
-        beta = 1.0
-        di = np.delete(d2[i], i)
-        for _ in range(max_iter):
-            w = np.exp(-di * beta)
-            s = np.sum(w)
-            if s <= 0:
-                h = 0.0
-                p = np.zeros_like(w)
-            else:
-                p = w / s
-                nz = p > 0
-                h = -np.sum(p[nz] * np.log2(p[nz]))
-            if abs(h - target) < tol:
-                break
-            if h > target:
-                lo = beta
-                beta = beta * 2.0 if hi == np.inf else (beta + hi) / 2.0
-            else:
-                hi = beta
-                beta = (lo + beta) / 2.0
-        row = np.insert(p, i, 0.0)
-        P[i] = row
+    P.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :-1] = cond.reshape(n - 1, n)
     return P
 
 
@@ -166,7 +206,7 @@ def tsne_affinities(X: np.ndarray, perplexity: float) -> np.ndarray:
 
 
 def tsne(X: np.ndarray, perplexity: float = 30.0, iterations: int = 1000,
-         seed: int = 0, learning_rate: float = 200.0,
+         learning_rate: float = 200.0,
          early_exaggeration: float = 12.0, exaggeration_iters: int = 250
          ) -> Embedding:
     """Exact O(N^2) t-SNE to 2D with PCA initialization.
@@ -174,9 +214,8 @@ def tsne(X: np.ndarray, perplexity: float = 30.0, iterations: int = 1000,
     Gradient descent with momentum (0.5 before, 0.8 after the
     exaggeration phase). extras["kl_trace"] holds one float per
     iteration: KL(P||Q) at every 50th iteration (0, 50, 100, ...) and at
-    the last one, nan elsewhere. With the deterministic PCA init the
-    result does not depend on the seed argument, which is kept for
-    interface stability.
+    the last one, nan elsewhere. The PCA init makes the result a
+    function of X and the parameters alone.
     """
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
@@ -232,13 +271,17 @@ def tsne(X: np.ndarray, perplexity: float = 30.0, iterations: int = 1000,
         Y = Y - Y.mean(axis=0)
     return Embedding(Y, "tsne",
                      {"perplexity": perplexity, "iterations": iterations,
-                      "seed": seed, "learning_rate": learning_rate},
+                      "learning_rate": learning_rate},
                      X.shape[1], extras={"kl_trace": kl_trace, "P": P})
 
 
 def spectral_embedding(X: np.ndarray, k_neighbors: int = 10, dims: int = 2
                        ) -> Embedding:
-    """Eigenmaps of the symmetric-normalized Laplacian of a kNN graph."""
+    """Eigenmaps of the symmetric-normalized Laplacian of a kNN graph.
+
+    Only the dims + 1 smallest eigenpairs are computed; the first, the
+    trivial one, is dropped.
+    """
     from scipy.sparse.csgraph import connected_components
 
     X = np.asarray(X, dtype=np.float64)
@@ -246,6 +289,9 @@ def spectral_embedding(X: np.ndarray, k_neighbors: int = 10, dims: int = 2
     if not 0 <= k_neighbors < n:
         raise DataError(f"spectral_embedding: k_neighbors {k_neighbors} "
                         f"must be in [0, {n})")
+    if not 1 <= dims <= n - 1:
+        raise DataError(f"spectral_embedding: dims {dims} must be in "
+                        f"[1, {n - 1}] for {n} points")
     d2 = _sq_distances(X)
     if np.max(d2) == 0.0:
         # all points coincide: no geometry to embed
@@ -273,8 +319,8 @@ def spectral_embedding(X: np.ndarray, k_neighbors: int = 10, dims: int = 2
     with np.errstate(divide="ignore"):
         dinv = np.where(deg > 0, 1.0 / np.sqrt(deg), 0.0)
     lap = np.eye(n) - dinv[:, None] * adj * dinv[None, :]
-    eigvals, eigvecs = np.linalg.eigh(lap)
-    coords = _fix_signs(eigvecs[:, 1:dims + 1])
+    eigvals, eigvecs = eigh(lap, overwrite_a=True, subset_by_index=[0, dims])
+    coords = _fix_signs(eigvecs[:, 1:])
     return Embedding(coords, "spectral",
                      {"k_neighbors": k_neighbors, "dims": dims}, X.shape[1],
-                     extras={"eigenvalues": eigvals[:dims + 1]})
+                     extras={"eigenvalues": eigvals})

@@ -10,6 +10,9 @@ pipeline and compares.
 A change that alters output bytes on purpose regenerates the file:
 
     python3 tests/golden/regen.py
+
+It prints the relative paths whose hash changed, and those added or
+removed, against the file it replaces.
 """
 
 from __future__ import annotations
@@ -110,13 +113,34 @@ def pipeline_hashes() -> dict[str, str]:
         return hash_tree(root)
 
 
+def changes(old: dict[str, str], new: dict[str, str]) -> list[str]:
+    """One line per relative path whose hash changed, appeared or went."""
+    lines = []
+    for rel in sorted(set(old) | set(new)):
+        if rel not in new:
+            lines.append(f"removed {rel}")
+        elif rel not in old:
+            lines.append(f"added   {rel}")
+        elif old[rel] != new[rel]:
+            lines.append(f"changed {rel}")
+    return lines
+
+
 def main() -> None:
     sys.path.insert(0, os.path.join(HERE, os.pardir, os.pardir, "src"))
+    old = {}
+    if os.path.exists(HASHES):
+        with open(HASHES, encoding="utf-8") as fh:
+            old = json.load(fh)["files"]
     record = {"build": build(), "files": pipeline_hashes()}
     with open(HASHES, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
         fh.write("\n")
     print(f"wrote {len(record['files'])} hashes to {HASHES}")
+    diff = changes(old, record["files"])
+    print(f"{len(diff)} differ from the file it replaces")
+    for line in diff:
+        print(line)
 
 
 if __name__ == "__main__":

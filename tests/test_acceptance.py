@@ -286,7 +286,7 @@ def multi_class_results(two_class_pipeline):
                                               beta_max=0.001))
     checkpoint = vrae.train(config, train_set)
     mus, labels = vrae.encode_dataset(checkpoint, test_set)
-    embedding = projection.tsne(mus, perplexity=30.0, iterations=1000, seed=7)
+    embedding = projection.tsne(mus, perplexity=30.0, iterations=1000)
     assignment = clustering.kmeans_pp(embedding.points, 4, seed=7)
     mapping, _ = scoring.match_labels(assignment.labels, labels)
     return {"points": embedding.points, "labels": labels,

@@ -298,6 +298,56 @@ class TestExitCodes:
         assert missing in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_kpca_on_one_row_latents_is_2(self, tmp_path, capsys):
+        latents = str(tmp_path / "latents")
+        artifacts.save_artifact(latents, "latents", {"latent_dim": 3},
+                                {"mus": np.ones((1, 3)),
+                                 "labels": np.zeros(1, dtype=np.int64)})
+        code = main(["project", "--latents", latents, "--method", "kpca",
+                     "--out", str(tmp_path / "embedding")])
+        assert code == 2
+        assert "k=2 out of range" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["latents"]
+
+    @pytest.mark.parametrize("mus, labels, message", [
+        (np.ones((20, 3)), np.zeros(3, dtype=np.int64), "labels have shape"),
+        (np.ones(20), np.zeros(20, dtype=np.int64), "mus must be 2-D"),
+    ], ids=["labels-count", "mus-1d"])
+    def test_latents_bad_shape_is_2(self, tmp_path, capsys, mus, labels,
+                                    message):
+        latents = str(tmp_path / "latents")
+        artifacts.save_artifact(latents, "latents", {"latent_dim": 3},
+                                {"mus": mus, "labels": labels})
+        code = main(["project", "--latents", latents, "--method", "pca",
+                     "--out", str(tmp_path / "embedding")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["latents"]
+
+    @pytest.mark.parametrize("change, message", [
+        ({"points": lambda a: a[:, 0]}, "points must be 2-D"),
+        ({"labels": lambda a: a[:-1]}, "labels have shape"),
+        ({"source_dim": "x"}, "source_dim must be an integer"),
+        ({"source_dim": 2.5}, "source_dim must be an integer"),
+    ], ids=["points-1d", "labels-count", "source-dim-str",
+            "source-dim-float"])
+    def test_embedding_bad_shape_or_source_dim_is_2(self, pipeline_dir,
+                                                    tmp_path, capsys, change,
+                                                    message):
+        kind, meta, arrays = artifacts.load_artifact(pipeline_dir["embedding"])
+        for key, value in change.items():
+            if key in arrays:
+                arrays[key] = value(arrays[key])
+            else:
+                meta[key] = value
+        bad = str(tmp_path / "bad")
+        artifacts.save_artifact(bad, kind, meta, arrays)
+        code = main(["cluster", "--embedding", bad, "--method", "kmeans",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["bad"]
+
     def test_unknown_preset_rejected_by_argparse(self):
         assert main(["generate", "--preset", "bogus", "--out", "x"]) == 1
 

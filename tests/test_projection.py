@@ -1,14 +1,16 @@
 """Projection tests: PCA against eigen-oracles, t-SNE entropy and
-equivariance checks, kernel PCA centering, spectral embedding geometry."""
+equivariance checks, kernel PCA centering, spectral embedding geometry,
+and the reference implementations that the faster code must match."""
 
 import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vraets import projection
+from vraets import artifacts, projection
 from vraets.errors import DataError
 from vraets.numerics import SeededRng
 
@@ -16,6 +18,12 @@ from vraets.numerics import SeededRng
 def _random_data(n, d, seed=0, scale=1.0):
     rng = SeededRng(seed)
     return scale * rng.standard_normal((n, d)) + rng.standard_normal((1, d))
+
+
+def _duplicated_points():
+    # 12 distinct points, each three times: d2 has off-diagonal zeros
+    base = _random_data(12, 4, seed=30)
+    return np.repeat(base, 3, axis=0)[SeededRng(31).permutation(36)]
 
 
 # ---------------------------------------------------------------- PCA
@@ -150,6 +158,49 @@ class TestKernelPca:
         with pytest.raises(DataError):
             projection.kernel_pca_rbf(_random_data(10, 2), 2, gamma=-1.0)
 
+    @pytest.mark.parametrize("n, k", [(10, 0), (10, -1), (10, 11), (1, 2)])
+    def test_k_out_of_range(self, n, k):
+        with pytest.raises(DataError, match="k="):
+            projection.kernel_pca_rbf(_random_data(n, 3), k)
+
+    def test_k_equal_to_n(self):
+        emb = projection.kernel_pca_rbf(_random_data(6, 3, seed=36), 6)
+        assert emb.points.shape == (6, 6)
+
+
+def _kernel_pca_reference(X, k, gamma=None):
+    """Kernel PCA as it was before mean centring: K centred with three
+    products against a dense 1/n matrix, and every eigenpair of the
+    result from np.linalg.eigh. Returns (points, eigenvalues)."""
+    if gamma is None:
+        gamma = projection.default_gamma(X)
+    n = X.shape[0]
+    K = np.exp(-gamma * projection._sq_distances(X))
+    one = np.full((n, n), 1.0 / n)
+    Kc = K - one @ K - K @ one + one @ K @ one
+    eigvals, eigvecs = np.linalg.eigh(Kc)
+    order = np.argsort(eigvals)[::-1][:k]
+    vals = np.maximum(eigvals[order], 0.0)
+    vecs = projection._fix_signs(eigvecs[:, order])
+    return vecs * np.sqrt(vals)[None, :], vals
+
+
+class TestKernelPcaMatchesReference:
+    @pytest.mark.parametrize("X, k, gamma", [
+        (_random_data(5, 3, seed=37), 2, None),
+        (_random_data(40, 4, seed=38), 3, None),
+        (_random_data(120, 5, seed=39), 2, 0.3),
+        (_duplicated_points(), 4, None),
+        (np.concatenate([_random_data(30, 3, seed=40),
+                         _random_data(30, 3, seed=41) + 6.0]), 2, None),
+    ], ids=["n5", "n40", "n120-gamma", "duplicates", "two-blobs"])
+    def test_points_within_1e12(self, X, k, gamma):
+        emb = projection.kernel_pca_rbf(X, k, gamma)
+        points, vals = _kernel_pca_reference(X, k, gamma)
+        np.testing.assert_allclose(emb.points, points, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(emb.extras["eigenvalues"], vals,
+                                   rtol=0, atol=1e-12)
+
 
 # -------------------------------------------------------------- t-SNE
 
@@ -268,12 +319,6 @@ def _tsne_reference(X, perplexity, iterations, learning_rate=200.0,
     return Y, np.array(kl_trace)
 
 
-def _duplicated_points():
-    # 12 distinct points, each three times: d2 has off-diagonal zeros
-    base = _random_data(12, 4, seed=30)
-    return np.repeat(base, 3, axis=0)[SeededRng(31).permutation(36)]
-
-
 class TestTsneMatchesReference:
     """Points and every recorded KL value equal to the reference loop,
     bit for bit; the KL is nan where the loop does not compute it."""
@@ -299,11 +344,97 @@ class TestTsneMatchesReference:
         assert np.all(np.isnan(trace[~recorded]))
 
 
+def _bandwidths_reference(d2, perplexity, tol=1e-5, max_iter=100):
+    """The bandwidth search as it was before it ran on all rows at
+    once: one row at a time, the diagonal entry deleted from the row."""
+    n = d2.shape[0]
+    target = np.log2(perplexity)
+    P = np.zeros((n, n))
+    for i in range(n):
+        lo, hi = 0.0, np.inf
+        beta = 1.0
+        di = np.delete(d2[i], i)
+        for _ in range(max_iter):
+            w = np.exp(-di * beta)
+            s = np.sum(w)
+            if s <= 0:
+                h = 0.0
+                p = np.zeros_like(w)
+            else:
+                p = w / s
+                nz = p > 0
+                h = -np.sum(p[nz] * np.log2(p[nz]))
+            if abs(h - target) < tol:
+                break
+            if h > target:
+                lo = beta
+                beta = beta * 2.0 if hi == np.inf else (beta + hi) / 2.0
+            else:
+                hi = beta
+                beta = (lo + beta) / 2.0
+        P[i] = np.insert(p, i, 0.0)
+    return P
+
+
+def _far_outlier():
+    # the outlier's weight underflows to exactly 0 in every other row
+    X = _random_data(30, 3, seed=42)
+    X[7] += 1e3
+    return X
+
+
+class TestBandwidthsMatchReference:
+    @pytest.mark.parametrize("X, perplexity", [
+        (_random_data(5, 3, seed=32), 3.0),
+        (_random_data(37, 5, seed=33), 10.0),
+        (_random_data(120, 4, seed=34), 30.0),
+        (_duplicated_points(), 8.0),
+        (_far_outlier(), 8.0),
+    ], ids=["n5", "n37", "n120", "duplicates", "far-outlier"])
+    def test_bit_equal(self, X, perplexity):
+        d2 = projection._sq_distances(X)
+        P = projection._binary_search_bandwidths(d2, perplexity)
+        ref = _bandwidths_reference(d2, perplexity)
+        np.testing.assert_array_equal(P, ref)
+        assert P.tobytes() == ref.tobytes()
+        assert np.all(np.diag(P) == 0.0)
+
+    def test_outlier_weights_underflow(self):
+        P = projection._binary_search_bandwidths(
+            projection._sq_distances(_far_outlier()), 8.0)
+        others = np.delete(np.arange(30), 7)
+        assert np.all(P[others, 7] == 0.0)
+        assert np.allclose(P.sum(axis=1), 1.0)
+
+    def test_rows_with_zeros_stop_where_the_reference_stops(self):
+        # a row whose weights include an exact 0 must sum only its
+        # nonzero entropy terms, as the reference does: with tol at that
+        # row's first |h - target|, an entropy off by one ulp would stop
+        # the row one iteration early or late
+        d2 = projection._sq_distances(_far_outlier())
+        target = np.log2(8.0)
+        for i in np.delete(np.arange(30), 7):
+            p = np.exp(-np.delete(d2[i], i))
+            p /= p.sum()
+            nz = p > 0
+            gap = abs(-np.sum(p[nz] * np.log2(p[nz])) - target)
+            for tol in (gap, np.nextafter(gap, np.inf)):
+                np.testing.assert_array_equal(
+                    projection._binary_search_bandwidths(d2, 8.0, tol=tol),
+                    _bandwidths_reference(d2, 8.0, tol=tol))
+
+    def test_max_iter_stops_unconverged_rows(self):
+        d2 = projection._sq_distances(_random_data(20, 3, seed=43))
+        np.testing.assert_array_equal(
+            projection._binary_search_bandwidths(d2, 5.0, max_iter=3),
+            _bandwidths_reference(d2, 5.0, max_iter=3))
+
+
 # ------------------------------------------------------ spectral maps
 
-def _spectral_points_by_neighbour_loop(X, k_neighbors, dims=2):
-    """Reference spectral embedding with the kNN graph built row by row:
-    each row's first k_neighbors others in stable distance order."""
+def _laplacian_by_neighbour_loop(X, k_neighbors):
+    """The symmetric-normalized Laplacian with the kNN graph built row by
+    row: each row's first k_neighbors others in stable distance order."""
     n = X.shape[0]
     order = np.argsort(projection._sq_distances(X), axis=1, kind="stable")
     adj = np.zeros((n, n))
@@ -314,9 +445,16 @@ def _spectral_points_by_neighbour_loop(X, k_neighbors, dims=2):
     deg = adj.sum(axis=1)
     with np.errstate(divide="ignore"):
         dinv = np.where(deg > 0, 1.0 / np.sqrt(deg), 0.0)
-    lap = np.eye(n) - dinv[:, None] * adj * dinv[None, :]
-    _, eigvecs = np.linalg.eigh(lap)
-    return projection._fix_signs(eigvecs[:, 1:dims + 1])
+    return np.eye(n) - dinv[:, None] * adj * dinv[None, :]
+
+
+def _spectral_points_by_neighbour_loop(X, k_neighbors, dims=2):
+    """Reference spectral embedding on the row-by-row kNN graph. The
+    eigensolve is the one spectral_embedding makes, so that the two
+    compare bit for bit and the comparison tests the graph."""
+    lap = _laplacian_by_neighbour_loop(X, k_neighbors)
+    _, eigvecs = scipy.linalg.eigh(lap, subset_by_index=[0, dims])
+    return projection._fix_signs(eigvecs[:, 1:])
 
 
 class TestSpectral:
@@ -342,6 +480,30 @@ class TestSpectral:
             got = projection.spectral_embedding(X, k_neighbors=k).points
         np.testing.assert_array_equal(
             got, _spectral_points_by_neighbour_loop(X, k))
+
+    @pytest.mark.parametrize("seed, n, k, dims", [
+        (44, 12, 3, 2), (45, 40, 10, 2), (46, 60, 7, 3), (47, 25, 5, 1)])
+    def test_matches_full_eigh_up_to_sign(self, seed, n, k, dims):
+        X = _random_data(n, 4, seed=seed)
+        eigvals, eigvecs = np.linalg.eigh(_laplacian_by_neighbour_loop(X, k))
+        emb = projection.spectral_embedding(X, k_neighbors=k, dims=dims)
+        want = eigvecs[:, 1:dims + 1]
+        signs = np.sign(np.sum(emb.points * want, axis=0))
+        np.testing.assert_allclose(emb.points, want * signs, rtol=0,
+                                   atol=1e-10)
+        np.testing.assert_allclose(emb.extras["eigenvalues"],
+                                   eigvals[:dims + 1], rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("n, dims", [(5, 0), (5, -1), (5, 5), (2, 2)])
+    def test_dims_out_of_range(self, n, dims):
+        with pytest.raises(DataError, match="dims"):
+            projection.spectral_embedding(_random_data(n, 3), k_neighbors=1,
+                                          dims=dims)
+
+    def test_dims_bound_holds_for_coinciding_points(self):
+        with pytest.raises(DataError, match="dims"):
+            projection.spectral_embedding(np.ones((3, 2)), k_neighbors=1,
+                                          dims=3)
 
     def test_identical_points_embed_to_zeros(self):
         X = np.ones((8, 3))
@@ -394,6 +556,25 @@ class TestEmbeddingArtifact:
         assert np.array_equal(loaded.points, emb.points)
         assert loaded.method == "pca"
         assert np.array_equal(got_labels, labels)
+
+    @pytest.mark.parametrize("points, labels, source_dim, message", [
+        (np.ones(12), None, 4, "points must be 2-D"),
+        (np.ones((12, 2)), np.zeros(11, dtype=np.int64), 4,
+         "labels have shape"),
+        (np.ones((12, 2)), None, "4", "source_dim must be an integer"),
+        (np.ones((12, 2)), None, True, "source_dim must be an integer"),
+    ], ids=["points-1d", "labels-count", "source-dim-str", "source-dim-bool"])
+    def test_load_rejects(self, tmp_path, points, labels, source_dim,
+                          message):
+        arrays = {"points": points}
+        if labels is not None:
+            arrays["labels"] = labels
+        path = tmp_path / "emb.artifact"
+        artifacts.save_artifact(path, "embedding",
+                                {"method": "pca", "params": {},
+                                 "source_dim": source_dim}, arrays)
+        with pytest.raises(DataError, match=message):
+            projection.Embedding.load(path)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(DataError):
