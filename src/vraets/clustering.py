@@ -15,6 +15,14 @@ from vraets import artifacts
 from vraets.errors import DataError
 from vraets.numerics import SeededRng
 
+# k-means++: Lloyd iterations per restart, the centre shift that ends
+# them, and the number of seeded restarts
+KMEANS_MAX_ITER = 100
+KMEANS_TOL = 1e-7
+KMEANS_RESTARTS = 10
+# DBSCAN's default eps is the median distance to this nearest neighbour
+EPS_NEIGHBOUR = 4
+
 
 @dataclass
 class ClusterAssignment:
@@ -65,15 +73,15 @@ def _kmeans_seed(X: np.ndarray, k: int, rng: SeededRng) -> np.ndarray:
         if total <= 0:
             idx = rng.integers(0, n)
         else:
-            idx = rng.choice_weighted(n, d2 / total)
+            idx = rng.choice(n, p=d2 / total)
         centers.append(X[idx])
     return np.array(centers)
 
 
-def _lloyd(X: np.ndarray, centers: np.ndarray, max_iter: int, tol: float):
+def _lloyd(X: np.ndarray, centers: np.ndarray):
     inertia_trace = []
     labels = None
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         d2 = _pairwise_sq(X, centers)
         labels = d2.argmin(axis=1)
         inertia_trace.append(float(d2[np.arange(len(X)), labels].sum()))
@@ -88,7 +96,7 @@ def _lloyd(X: np.ndarray, centers: np.ndarray, max_iter: int, tol: float):
                 new_centers[j] = members.mean(axis=0)
         shift = float(np.sqrt(np.sum((new_centers - centers) ** 2)))
         centers = new_centers
-        if shift < tol:
+        if shift < KMEANS_TOL:
             break
     d2 = _pairwise_sq(X, centers)
     labels = d2.argmin(axis=1)
@@ -97,27 +105,25 @@ def _lloyd(X: np.ndarray, centers: np.ndarray, max_iter: int, tol: float):
     return labels, centers, inertia, inertia_trace
 
 
-def kmeans_pp(X: np.ndarray, k: int, seed: int = 0, max_iter: int = 100,
-              tol: float = 1e-7, restarts: int = 10) -> ClusterAssignment:
-    """k-means++ with Lloyd iterations; best of `restarts` seeded runs."""
+def kmeans_pp(X: np.ndarray, k: int, seed: int = 0) -> ClusterAssignment:
+    """k-means++ with Lloyd iterations; best of KMEANS_RESTARTS seeded runs."""
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
     if k > n:
         raise DataError(f"kmeans_pp: k={k} exceeds {n} points")
     if k < 1:
         raise DataError("kmeans_pp: k must be >= 1")
-    base = SeededRng(seed)
     best = None
-    for r in range(restarts):
-        rng = base.spawn(r)
-        centers = _kmeans_seed(X, k, rng)
-        labels, centers, inertia, trace = _lloyd(X, centers, max_iter, tol)
+    for r in range(KMEANS_RESTARTS):
+        centers = _kmeans_seed(X, k, SeededRng(seed * 1_000_003 + r))
+        labels, centers, inertia, trace = _lloyd(X, centers)
         if best is None or inertia < best[2]:
             best = (labels, centers, inertia, trace)
     labels, centers, inertia, trace = best
     return ClusterAssignment(labels, "kmeans",
-                             {"k": k, "seed": seed, "max_iter": max_iter,
-                              "tol": tol, "restarts": restarts},
+                             {"k": k, "seed": seed,
+                              "max_iter": KMEANS_MAX_ITER, "tol": KMEANS_TOL,
+                              "restarts": KMEANS_RESTARTS},
                              centroids=centers, inertia=inertia,
                              extras={"inertia_trace": trace})
 
@@ -150,12 +156,12 @@ def hierarchical(X: np.ndarray, k: int) -> ClusterAssignment:
                              extras={"merge_heights": merge_heights})
 
 
-def default_eps(X: np.ndarray, k: int = 4) -> float:
-    """Median distance to the k-th nearest neighbor."""
+def default_eps(X: np.ndarray) -> float:
+    """Median distance to the EPS_NEIGHBOUR-th nearest neighbor."""
     X = np.asarray(X, dtype=np.float64)
     d = np.sqrt(_pairwise_sq(X, X))
     np.fill_diagonal(d, np.inf)
-    kth = np.sort(d, axis=1)[:, min(k, X.shape[0] - 1) - 1]
+    kth = np.sort(d, axis=1)[:, min(EPS_NEIGHBOUR, X.shape[0] - 1) - 1]
     med = float(np.median(kth))
     return med if med > 0 else 1.0
 

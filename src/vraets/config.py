@@ -109,7 +109,9 @@ def resolve(preset: str | None = None, config_file=None,
     Every key whose default is a number must convert to that type, so
     the int()/float() conversions of the stages cannot fail, and must
     not be a bool; an int key must not hold a fraction, which int()
-    would truncate. Values are checked, never rewritten.
+    would truncate. A key whose default is None holds None or a number
+    float() accepts, prep.classes is "two" or "multi", and prep.features
+    is a list of names. Values are checked, never rewritten.
     """
     cfg = dict(DEFAULTS)
     if preset is not None:
@@ -125,9 +127,11 @@ def resolve(preset: str | None = None, config_file=None,
             raise DataError(f"unknown config keys: {sorted(unknown)}")
         cfg.update(overrides)
     for key, default in DEFAULTS.items():
-        kind = type(default)
+        value = cfg[key]
+        if default is None and value is None:
+            continue
+        kind = float if default is None else type(default)
         if kind in (int, float):
-            value = cfg[key]
             try:
                 kind(value)
                 if isinstance(value, bool) or (
@@ -135,8 +139,18 @@ def resolve(preset: str | None = None, config_file=None,
                         and not value.is_integer()):
                     raise ValueError
             except (TypeError, ValueError, OverflowError):
+                expected = ("null or a number" if default is None
+                            else kind.__name__)
                 raise DataError(f"config key {key!r}: expected "
-                                f"{kind.__name__}, got {value!r}") from None
+                                f"{expected}, got {value!r}") from None
+    if cfg["prep.classes"] not in ("two", "multi"):
+        raise DataError(f"config key 'prep.classes': expected \"two\" or "
+                        f"\"multi\", got {cfg['prep.classes']!r}")
+    features = cfg["prep.features"]
+    if type(features) is not list or not all(type(f) is str
+                                             for f in features):
+        raise DataError(f"config key 'prep.features': expected a list of "
+                        f"names, got {features!r}")
     return cfg
 
 

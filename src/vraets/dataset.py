@@ -157,6 +157,16 @@ class WindowedDataset:
         return {int(v): int(c) for v, c in zip(vals, counts)}
 
 
+# ice in zone j scales blade-1 amplitudes by 1 + ZONE_AMP_GAIN[j] * mass
+# and adds a side-band at ZONE_SIDEBAND_HZ[j] of amplitude
+# ZONE_SIDEBAND_GAIN[j] * mass; blades 2 and 3 feel both through the hub,
+# scaled by CROSS_BLADE_COUPLING
+ZONE_AMP_GAIN = (0.60, 0.45, 0.30)
+ZONE_SIDEBAND_HZ = (0.8, 1.4, 2.2)
+ZONE_SIDEBAND_GAIN = (0.9, 0.7, 0.5)
+CROSS_BLADE_COUPLING = 0.15
+
+
 @dataclass
 class SynthConfig:
     """Synthetic rotor vibration generator settings.
@@ -175,16 +185,11 @@ class SynthConfig:
     rotation_hz: float = 0.2
     sample_rate_hz: float = 40.0
     harmonics: int = 3
-    zone_amp_gain: tuple[float, float, float] = (0.60, 0.45, 0.30)
-    zone_sideband_hz: tuple[float, float, float] = (0.8, 1.4, 2.2)
-    zone_sideband_gain: tuple[float, float, float] = (0.9, 0.7, 0.5)
-    cross_blade_coupling: float = 0.15
     noise_std: float = 0.05
     seed: int = 0
 
     def __post_init__(self):
-        top = max(self.rotation_hz * self.harmonics,
-                  max(self.zone_sideband_hz))
+        top = max(self.rotation_hz * self.harmonics, max(ZONE_SIDEBAND_HZ))
         if self.sample_rate_hz <= 2.0 * top:
             raise DataError("sample rate must exceed twice the highest frequency")
         if self.noise_std < 0:
@@ -216,10 +221,10 @@ def synthesize(config: SynthConfig, ice: IceConfig, n_steps: int) -> TimeSeriesR
             edge += np.cos(w * t + k * phase) / k
         if zone is not None:
             # ice sits on blade 1; other blades feel it through the hub
-            strength = 1.0 if blade == 0 else config.cross_blade_coupling
-            gain = 1.0 + config.zone_amp_gain[zone] * mass * strength
-            ws = 2.0 * np.pi * config.zone_sideband_hz[zone]
-            band = config.zone_sideband_gain[zone] * mass * strength
+            strength = 1.0 if blade == 0 else CROSS_BLADE_COUPLING
+            gain = 1.0 + ZONE_AMP_GAIN[zone] * mass * strength
+            ws = 2.0 * np.pi * ZONE_SIDEBAND_HZ[zone]
+            band = ZONE_SIDEBAND_GAIN[zone] * mass * strength
             flap = gain * flap + band * np.sin(ws * t + phase)
             edge = gain * edge + band * np.cos(ws * t + phase)
         values[:, 2 * blade] = flap
@@ -369,22 +374,13 @@ def select_features(record: TimeSeriesRecord, names: list[str]) -> TimeSeriesRec
                             record.values[:, idx], list(names))
 
 
-def fit_minmax(records) -> MinMaxScaler:
-    """Per-feature min/max over one or more records or window stacks."""
-    arrays = []
-    for rec in records:
-        arr = rec.values if isinstance(rec, TimeSeriesRecord) else np.asarray(rec)
-        arrays.append(arr.reshape(-1, arr.shape[-1]))
-    if not arrays:
-        raise DataError("fit_minmax: need at least one record")
-    stacked = np.concatenate(arrays, axis=0)
+def fit_minmax(arrays) -> MinMaxScaler:
+    """Per-feature min/max over arrays whose last axis is the feature axis."""
+    flat = [a.reshape(-1, a.shape[-1]) for a in map(np.asarray, arrays)]
+    if not flat:
+        raise DataError("fit_minmax: need at least one array")
+    stacked = np.concatenate(flat, axis=0)
     return MinMaxScaler(mins=stacked.min(axis=0), maxs=stacked.max(axis=0))
-
-
-def apply_minmax(record: TimeSeriesRecord, scaler: MinMaxScaler) -> TimeSeriesRecord:
-    return TimeSeriesRecord(record.sim_id, record.config,
-                            scaler.transform(record.values),
-                            list(record.feature_names))
 
 
 def window(record: TimeSeriesRecord, length: int, stride: int | None = None
@@ -497,9 +493,17 @@ def load_windows(path) -> WindowedDataset:
                            ("window_length", "stride", "feature_names"),
                            ("windows", "labels") + (scaler_names if scaled
                                                     else ()))
+    for key in ("window_length", "stride"):
+        if type(meta[key]) is not int or meta[key] < 1:
+            raise DataError(f"{path}: {key} must be an integer >= 1, got "
+                            f"{meta[key]!r}")
+    names = meta["feature_names"]
+    if type(names) is not list or not all(type(n) is str for n in names):
+        raise DataError(f"{path}: feature_names must be a list of strings, "
+                        f"got {names!r}")
     scaler = None
     if scaled:
         scaler = MinMaxScaler(arrays["scaler_mins"], arrays["scaler_maxs"])
     return WindowedDataset(arrays["windows"], arrays["labels"],
-                           int(meta["window_length"]), int(meta["stride"]),
-                           list(meta["feature_names"]), scaler)
+                           meta["window_length"], meta["stride"], names,
+                           scaler)

@@ -9,41 +9,19 @@ caller-owned state and never mutates its inputs.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 from vraets.errors import DataError, NumericalError
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-DEFAULT_CLIP_NORM = 5.0
 
 
-class SeededRng:
+class SeededRng(np.random.Generator):
     """Counter-based random source; identical seeds give identical streams."""
 
     def __init__(self, seed: int):
-        self.seed = int(seed)
-        self._gen = np.random.Generator(np.random.Philox(self.seed))
-
-    def standard_normal(self, shape) -> np.ndarray:
-        return self._gen.standard_normal(shape)
-
-    def uniform(self, low: float, high: float, shape) -> np.ndarray:
-        return self._gen.uniform(low, high, shape)
-
-    def permutation(self, n: int) -> np.ndarray:
-        return self._gen.permutation(n)
-
-    def integers(self, low: int, high: int) -> int:
-        return int(self._gen.integers(low, high))
-
-    def choice_weighted(self, n: int, p: np.ndarray) -> int:
-        return int(self._gen.choice(n, p=p))
-
-    def spawn(self, stream: int) -> "SeededRng":
-        """Derive an independent child stream; deterministic in (seed, stream)."""
-        return SeededRng(self.seed * 1_000_003 + stream)
+        super().__init__(np.random.Philox(int(seed)))
 
 
 def softplus(x):
@@ -51,19 +29,10 @@ def softplus(x):
     return np.logaddexp(0.0, np.asarray(x, dtype=np.float64))
 
 
-def sigmoid(x):
-    return expit(np.asarray(x, dtype=np.float64))
-
-
 class AdamState:
     """First/second moment accumulators plus step counter for a param dict."""
 
-    def __init__(self, params: dict[str, np.ndarray],
-                 beta1: float = ADAM_BETA1, beta2: float = ADAM_BETA2,
-                 eps: float = ADAM_EPS):
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
+    def __init__(self, params: dict[str, np.ndarray]):
         self.step = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
@@ -76,7 +45,7 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         raise DataError("adam_step: params and grads name sets differ")
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     out = {}
     for k, p in params.items():
         g = grads[k]
@@ -87,7 +56,7 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         state.v[k] = b2 * state.v[k] + (1.0 - b2) * g * g
         m_hat = state.m[k] / (1.0 - b1 ** t)
         v_hat = state.v[k] / (1.0 - b2 ** t)
-        out[k] = p - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        out[k] = p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return out
 
 
@@ -96,7 +65,7 @@ def global_norm(grads: dict[str, np.ndarray]) -> float:
 
 
 def clip_global_norm(grads: dict[str, np.ndarray],
-                     max_norm: float = DEFAULT_CLIP_NORM) -> dict[str, np.ndarray]:
+                     max_norm: float) -> dict[str, np.ndarray]:
     """Scale all gradients jointly so their concatenated norm is <= max_norm."""
     if max_norm <= 0:
         raise DataError(f"clip_global_norm: max_norm must be positive, got {max_norm}")

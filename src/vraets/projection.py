@@ -18,6 +18,11 @@ from vraets import artifacts
 from vraets.errors import DataError
 
 _EPS = 1e-12
+# t-SNE's gradient-descent step, and the factor on P and the number of
+# iterations of its early-exaggeration phase
+TSNE_LEARNING_RATE = 200.0
+TSNE_EARLY_EXAGGERATION = 12.0
+TSNE_EXAGGERATION_ITERS = 250
 
 
 @dataclass
@@ -205,9 +210,7 @@ def tsne_affinities(X: np.ndarray, perplexity: float) -> np.ndarray:
     return np.maximum(P, _EPS)
 
 
-def tsne(X: np.ndarray, perplexity: float = 30.0, iterations: int = 1000,
-         learning_rate: float = 200.0,
-         early_exaggeration: float = 12.0, exaggeration_iters: int = 250
+def tsne(X: np.ndarray, perplexity: float = 30.0, iterations: int = 1000
          ) -> Embedding:
     """Exact O(N^2) t-SNE to 2D with PCA initialization.
 
@@ -240,11 +243,11 @@ def tsne(X: np.ndarray, perplexity: float = 30.0, iterations: int = 1000,
     # gave, down to the sign of a zero
     A = np.empty((n, n))
     B = np.empty((n, n))
-    exag_P = early_exaggeration * P
+    exag_P = TSNE_EARLY_EXAGGERATION * P
     velocity = np.zeros_like(Y)
     kl_trace = [np.nan] * iterations
     for it in range(iterations):
-        exaggerating = it < exaggeration_iters
+        exaggerating = it < TSNE_EXAGGERATION_ITERS
         momentum = 0.5 if exaggerating else 0.8
         sq = np.sum(Y * Y, axis=1)
         np.matmul(Y, Y.T, out=A)
@@ -266,12 +269,12 @@ def tsne(X: np.ndarray, perplexity: float = 30.0, iterations: int = 1000,
         np.subtract(0.0, A, out=B)
         np.fill_diagonal(B, s - A.diagonal())  # B = diag(s) - PQ
         grad = 4.0 * (B @ Y)
-        velocity = momentum * velocity - learning_rate * grad
+        velocity = momentum * velocity - TSNE_LEARNING_RATE * grad
         Y = Y + velocity
         Y = Y - Y.mean(axis=0)
     return Embedding(Y, "tsne",
                      {"perplexity": perplexity, "iterations": iterations,
-                      "learning_rate": learning_rate},
+                      "learning_rate": TSNE_LEARNING_RATE},
                      X.shape[1], extras={"kl_trace": kl_trace, "P": P})
 
 

@@ -20,13 +20,14 @@ import warnings
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
+from scipy.special import expit
 
 from vraets import artifacts
 from vraets import _kernels
 from vraets.dataset import WindowedDataset
 from vraets.errors import DataError, NumericalError
 from vraets.numerics import (AdamState, SeededRng, adam_step, clip_global_norm,
-                             sigmoid, softplus)
+                             softplus)
 
 SIGMA_FLOOR = 1e-6
 
@@ -49,9 +50,6 @@ class AnnealSchedule:
             raise DataError("cycles must be >= 1")
         if self.beta_max < 0:
             raise DataError("beta_max must be >= 0")
-
-    def beta_at(self, global_step: int, total_steps: int) -> float:
-        return beta_at(self, global_step, total_steps)
 
 
 def beta_at(schedule: AnnealSchedule, global_step: int, total_steps: int) -> float:
@@ -286,7 +284,7 @@ def backward(params: dict, cache: dict, config: VraeConfig
     # KL term (batch mean of the per-sample closed form)
     dmu += beta * mu / batch
     dsigma += beta * (sigma - 1.0 / sigma) / batch
-    ds_pre = dsigma * sigmoid(s_pre)
+    ds_pre = dsigma * expit(s_pre)
 
     h_drop = cache["h_drop"]
     grads["mu_W"] += h_drop.T @ dmu

@@ -186,8 +186,7 @@ class TestClusteringProperties:
         for trial in range(100):
             rng = SeededRng(trial)
             X = rng.standard_normal((40, 3)) * (1 + trial % 5)
-            out = clustering.kmeans_pp(X, 2 + trial % 3, seed=trial,
-                                       restarts=2)
+            out = clustering.kmeans_pp(X, 2 + trial % 3, seed=trial)
             trace = out.extras["inertia_trace"]
             assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:])), trial
 

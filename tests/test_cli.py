@@ -212,6 +212,30 @@ class TestExitCodes:
         assert line.split(" = ")[0] in capsys.readouterr().err
         assert not (tmp_path / "model.ckpt").exists()
 
+    @pytest.mark.parametrize("line, argv", [
+        ("project.gamma = abc",
+         ["project", "--method", "kpca", "--latents", "{latents}"]),
+        ("project.gamma = true",
+         ["project", "--method", "kpca", "--latents", "{latents}"]),
+        ("cluster.eps = [1]",
+         ["cluster", "--method", "dbscan", "--embedding", "{embedding}"]),
+        ("prep.classes = three", ["preprocess", "--data", "{data}"]),
+        ("prep.features = 7", ["preprocess", "--data", "{data}"]),
+    ], ids=["gamma-str", "gamma-bool", "eps-list", "classes-unknown",
+            "features-int"])
+    def test_bad_optional_or_choice_config_value_is_2(self, pipeline_dir,
+                                                      tmp_path, capsys, line,
+                                                      argv):
+        # these used to end in a traceback, run with gamma 1.0, or
+        # silently run the multi-class split
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        code = main([a.format(**pipeline_dir) for a in argv]
+                    + ["--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert line.split(" = ")[0] in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["bad.cfg"]
+
     def test_negative_epochs_is_2(self, mini_config, pipeline_dir, tmp_path,
                                   capsys):
         code = main(["train", "--config", mini_config, "--epochs", "-3",
@@ -297,6 +321,25 @@ class TestExitCodes:
         assert code == 2
         assert missing in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("window_length", "abc"), ("window_length", 5.5),
+        ("window_length", 0), ("stride", True), ("feature_names", 7),
+        ("feature_names", ["a", 1]),
+    ], ids=["length-str", "length-float", "length-zero", "stride-bool",
+            "names-int", "names-mixed"])
+    def test_windows_bad_meta_type_is_2(self, pipeline_dir, mini_config,
+                                        tmp_path, capsys, key, value):
+        kind, meta, arrays = artifacts.load_artifact(
+            os.path.join(pipeline_dir["prep"], "train.windows"))
+        meta[key] = value
+        bad = str(tmp_path / "bad")
+        artifacts.save_artifact(bad, kind, meta, arrays)
+        code = main(["train", "--config", mini_config, "--train-data", bad,
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"{key} must be" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["bad"]
 
     def test_kpca_on_one_row_latents_is_2(self, tmp_path, capsys):
         latents = str(tmp_path / "latents")

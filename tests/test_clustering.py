@@ -246,7 +246,7 @@ class TestDbscan:
         d = np.sqrt(np.sum((X[:, None] - X[None]) ** 2, axis=2))
         np.fill_diagonal(d, np.inf)
         kth = np.sort(d, axis=1)[:, 3]
-        assert clustering.default_eps(X, 4) == pytest.approx(float(np.median(kth)))
+        assert clustering.default_eps(X) == pytest.approx(float(np.median(kth)))
 
     def test_errors(self):
         X = np.zeros((5, 2))

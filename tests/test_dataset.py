@@ -69,7 +69,7 @@ class TestSynthesize:
             flap = rec.values[:, 0]
             freqs = np.fft.rfftfreq(len(flap), d=1.0 / cfg.sample_rate_hz)
             power = np.abs(np.fft.rfft(flap)) ** 2
-            band = np.abs(freqs - cfg.zone_sideband_hz[0]) < 0.05
+            band = np.abs(freqs - dataset.ZONE_SIDEBAND_HZ[0]) < 0.05
             return power[band].sum()
         p0, p4, p8 = (sideband_power(m) for m in (0.0, 0.4, 0.8))
         assert p0 < p4 < p8
@@ -341,16 +341,16 @@ class TestMinMax:
 
     def test_constant_feature_maps_to_zero(self):
         rec = make_record([[3.0], [3.0], [3.0]])
-        scaler = dataset.fit_minmax([rec])
-        out = dataset.apply_minmax(rec, scaler)
-        np.testing.assert_array_equal(out.values, np.zeros((3, 1)))
+        scaler = dataset.fit_minmax([rec.values])
+        out = scaler.transform(rec.values)
+        np.testing.assert_array_equal(out, np.zeros((3, 1)))
 
     def test_fit_on_train_extremes(self):
         rec = make_record([[0.0, 5.0], [10.0, 7.0], [4.0, 6.0]])
-        scaler = dataset.fit_minmax([rec])
-        out = dataset.apply_minmax(rec, scaler)
-        assert out.values.min(axis=0) == pytest.approx([-1.0, -1.0])
-        assert out.values.max(axis=0) == pytest.approx([1.0, 1.0])
+        scaler = dataset.fit_minmax([rec.values])
+        out = scaler.transform(rec.values)
+        assert out.min(axis=0) == pytest.approx([-1.0, -1.0])
+        assert out.max(axis=0) == pytest.approx([1.0, 1.0])
 
     def test_feature_count_mismatch(self):
         scaler = MinMaxScaler(np.zeros(2), np.ones(2))
@@ -360,9 +360,9 @@ class TestMinMax:
     def test_scaling_commutes_with_windowing(self):
         rng = np.random.default_rng(0)
         rec = make_record(rng.normal(size=(50, 3)))
-        scaler = dataset.fit_minmax([rec])
-        scale_then_window = dataset.window(dataset.apply_minmax(rec, scaler),
-                                           10, 7)
+        scaler = dataset.fit_minmax([rec.values])
+        scale_then_window = dataset.window(
+            make_record(scaler.transform(rec.values)), 10, 7)
         window_then_scale = [scaler.transform(w)
                              for w in dataset.window(rec, 10, 7)]
         for a, b in zip(scale_then_window, window_then_scale):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from vraets import clustering, projection
 from vraets.errors import DataError
 from vraets.numerics import (AdamState, SeededRng, adam_step, clip_global_norm,
                              finite_difference_gradient, global_norm, softplus)
@@ -120,6 +121,38 @@ class TestGaussianSampling:
         a = SeededRng(1).standard_normal((4,))
         b = SeededRng(2).standard_normal((4,))
         assert not np.array_equal(a, b)
+
+
+class TestSeededRng:
+    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+    def test_is_a_philox_generator_with_the_same_stream(self, seed):
+        rng = SeededRng(seed)
+        ref = np.random.Generator(np.random.Philox(seed))
+        assert isinstance(rng, np.random.Generator)
+        np.testing.assert_array_equal(rng.standard_normal((3, 4)),
+                                      ref.standard_normal((3, 4)))
+        np.testing.assert_array_equal(rng.uniform(-1, 1, (5,)),
+                                      ref.uniform(-1, 1, (5,)))
+        np.testing.assert_array_equal(rng.permutation(9), ref.permutation(9))
+        assert rng.integers(0, 10) == ref.integers(0, 10)
+        p = np.array([0.1, 0.2, 0.3, 0.4])
+        assert rng.choice(4, p=p) == ref.choice(4, p=p)
+
+
+class TestRecordedSchedules:
+    # the fixed schedules stay in each artifact's params, so the
+    # embedding and assignment bytes keep them
+    def test_kmeans_params(self):
+        X = SeededRng(4).standard_normal((12, 2))
+        params = clustering.kmeans_pp(X, 2, seed=3).params
+        assert params == {"k": 2, "seed": 3, "max_iter": 100, "tol": 1e-7,
+                          "restarts": 10}
+
+    def test_tsne_params(self):
+        X = SeededRng(5).standard_normal((10, 3))
+        params = projection.tsne(X, perplexity=3.0, iterations=2).params
+        assert params == {"perplexity": 3.0, "iterations": 2,
+                          "learning_rate": 200.0}
 
 
 class TestFiniteDifferences:
