@@ -13,7 +13,7 @@ import numpy as np
 
 from vraets import artifacts
 from vraets.errors import DataError
-from vraets.numerics import SeededRng
+from vraets.numerics import SeededRng, sq_distances
 
 # k-means++: Lloyd iterations per restart, the centre shift that ends
 # them, and the number of seeded restarts
@@ -57,18 +57,12 @@ class ClusterAssignment:
                    arrays.get("centroids"), meta.get("inertia"))
 
 
-def _pairwise_sq(X: np.ndarray, C: np.ndarray) -> np.ndarray:
-    d2 = (np.sum(X * X, axis=1)[:, None] + np.sum(C * C, axis=1)[None, :]
-          - 2.0 * X @ C.T)
-    return np.maximum(d2, 0.0)
-
-
 def _kmeans_seed(X: np.ndarray, k: int, rng: SeededRng) -> np.ndarray:
     """k-means++ D^2 seeding."""
     n = X.shape[0]
     centers = [X[rng.integers(0, n)]]
     for _ in range(1, k):
-        d2 = _pairwise_sq(X, np.array(centers)).min(axis=1)
+        d2 = sq_distances(X, np.array(centers)).min(axis=1)
         total = d2.sum()
         if total <= 0:
             idx = rng.integers(0, n)
@@ -82,7 +76,7 @@ def _lloyd(X: np.ndarray, centers: np.ndarray):
     inertia_trace = []
     labels = None
     for _ in range(KMEANS_MAX_ITER):
-        d2 = _pairwise_sq(X, centers)
+        d2 = sq_distances(X, centers)
         labels = d2.argmin(axis=1)
         inertia_trace.append(float(d2[np.arange(len(X)), labels].sum()))
         new_centers = centers.copy()
@@ -98,7 +92,7 @@ def _lloyd(X: np.ndarray, centers: np.ndarray):
         centers = new_centers
         if shift < KMEANS_TOL:
             break
-    d2 = _pairwise_sq(X, centers)
+    d2 = sq_distances(X, centers)
     labels = d2.argmin(axis=1)
     inertia = float(d2[np.arange(len(X)), labels].sum())
     inertia_trace.append(inertia)
@@ -159,7 +153,7 @@ def hierarchical(X: np.ndarray, k: int) -> ClusterAssignment:
 def default_eps(X: np.ndarray) -> float:
     """Median distance to the EPS_NEIGHBOUR-th nearest neighbor."""
     X = np.asarray(X, dtype=np.float64)
-    d = np.sqrt(_pairwise_sq(X, X))
+    d = np.sqrt(sq_distances(X))
     np.fill_diagonal(d, np.inf)
     kth = np.sort(d, axis=1)[:, min(EPS_NEIGHBOUR, X.shape[0] - 1) - 1]
     med = float(np.median(kth))
@@ -167,29 +161,30 @@ def default_eps(X: np.ndarray) -> float:
 
 
 def dbscan(X: np.ndarray, eps: float, min_pts: int = 4) -> ClusterAssignment:
-    """Classic core/border/noise DBSCAN; noise labeled -1."""
-    if eps <= 0:
+    """Classic core/border/noise DBSCAN; noise labeled -1.
+
+    Clusters are the connected components of the core points' eps-graph
+    (Ester et al., KDD 1996), numbered by their first core point; a
+    border point joins the lowest-numbered one among its core neighbours.
+    """
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import connected_components
+
+    if not eps > 0:
         raise DataError(f"dbscan: eps must be positive, got {eps}")
     if min_pts < 1:
         raise DataError("dbscan: min_pts must be >= 1")
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
-    d = np.sqrt(_pairwise_sq(X, X))
-    neighbors = [np.flatnonzero(d[i] <= eps) for i in range(n)]  # includes i
-    core = np.array([len(nb) >= min_pts for nb in neighbors])
+    near = np.sqrt(sq_distances(X)) <= eps
+    core = np.flatnonzero(near.sum(axis=1) >= min_pts)
     labels = np.full(n, -1, dtype=np.int64)
-    cluster = 0
-    for i in range(n):
-        if labels[i] != -1 or not core[i]:
-            continue
-        labels[i] = cluster
-        queue = list(neighbors[i])
-        while queue:
-            j = queue.pop(0)
-            if labels[j] == -1:
-                labels[j] = cluster
-                if core[j]:
-                    queue.extend(neighbors[j])
-        cluster += 1
+    if core.size:
+        comp = connected_components(csr_array(near[core][:, core]),
+                                    directed=False)[1]
+        # n where a point has no core neighbour; a core point's core
+        # neighbours are all in its own cluster
+        lowest = np.where(near[:, core], comp, n).min(axis=1)
+        labels[lowest < n] = lowest[lowest < n]
     return ClusterAssignment(labels, "dbscan",
                              {"eps": eps, "min_pts": min_pts})

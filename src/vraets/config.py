@@ -9,6 +9,7 @@ strings otherwise.
 from __future__ import annotations
 
 import json
+import math
 import os
 
 from vraets.dataset import FEATURE_NAMES
@@ -109,9 +110,10 @@ def resolve(preset: str | None = None, config_file=None,
     Every key whose default is a number must convert to that type, so
     the int()/float() conversions of the stages cannot fail, and must
     not be a bool; an int key must not hold a fraction, which int()
-    would truncate. A key whose default is None holds None or a number
-    float() accepts, prep.classes is "two" or "multi", and prep.features
-    is a list of names. Values are checked, never rewritten.
+    would truncate, and a float key must be finite. A key whose default
+    is None holds None or a finite number float() accepts, prep.classes
+    is "two" or "multi", and prep.features is a list of names. Values
+    are checked, never rewritten.
     """
     cfg = dict(DEFAULTS)
     if preset is not None:
@@ -133,13 +135,15 @@ def resolve(preset: str | None = None, config_file=None,
         kind = float if default is None else type(default)
         if kind in (int, float):
             try:
-                kind(value)
+                number = kind(value)
                 if isinstance(value, bool) or (
                         kind is int and isinstance(value, float)
-                        and not value.is_integer()):
+                        and not value.is_integer()) or (
+                        kind is float and not math.isfinite(number)):
                     raise ValueError
             except (TypeError, ValueError, OverflowError):
-                expected = ("null or a number" if default is None
+                expected = ("null or a finite number" if default is None
+                            else "finite float" if kind is float
                             else kind.__name__)
                 raise DataError(f"config key {key!r}: expected "
                                 f"{expected}, got {value!r}") from None

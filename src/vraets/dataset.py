@@ -455,21 +455,6 @@ def split(dataset: WindowedDataset, train_fraction: float, seed: int
     return dataset.subset(train_idx), dataset.subset(test_idx)
 
 
-def balance(dataset: WindowedDataset, per_class: int, seed: int) -> WindowedDataset:
-    """Uniform per-class subsample, deterministic under seed."""
-    counts = dataset.class_counts()
-    short = {c: n for c, n in counts.items() if n < per_class}
-    if short:
-        raise DataError(f"balance: classes smaller than {per_class}: {short}")
-    rng = SeededRng(seed)
-    keep = []
-    for cls in sorted(counts):
-        cls_idx = np.flatnonzero(dataset.labels == cls)
-        order = cls_idx[rng.permutation(len(cls_idx))]
-        keep.append(order[:per_class])
-    return dataset.subset(np.sort(np.concatenate(keep)))
-
-
 def scale_windows(dataset: WindowedDataset, scaler: MinMaxScaler) -> WindowedDataset:
     return replace(dataset, windows=scaler.transform(dataset.windows),
                    scaler=scaler)

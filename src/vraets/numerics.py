@@ -1,4 +1,5 @@
-"""Deterministic numerics: activations, sampling, Adam, clipping, grad checks.
+"""Deterministic numerics: distances, activations, sampling, Adam, clipping,
+grad checks.
 
 All arrays are float64. Random streams come from a counter-based Philox
 generator so they are reproducible across platforms. Parameters travel as
@@ -22,6 +23,19 @@ class SeededRng(np.random.Generator):
 
     def __init__(self, seed: int):
         super().__init__(np.random.Philox(int(seed)))
+
+
+def sq_distances(X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
+    """Squared distances from each row of X to each row of Y (of X when Y
+    is None), as ||x||^2 + ||y||^2 - 2 x.y clipped at 0; X against itself
+    is exactly symmetric, with an exact-zero diagonal."""
+    sq = np.sum(X * X, axis=1)
+    if Y is None:
+        d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
+        np.fill_diagonal(d2, 0.0)
+    else:
+        d2 = sq[:, None] + np.sum(Y * Y, axis=1)[None, :] - 2.0 * (X @ Y.T)
+    return np.maximum(d2, 0.0)
 
 
 def softplus(x):

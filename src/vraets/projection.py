@@ -16,6 +16,7 @@ from scipy.linalg import eigh
 
 from vraets import artifacts
 from vraets.errors import DataError
+from vraets.numerics import sq_distances
 
 _EPS = 1e-12
 # t-SNE's gradient-descent step, and the factor on P and the number of
@@ -99,16 +100,11 @@ def pca(X: np.ndarray, k: int = 2) -> Embedding:
                              "mean": mean})
 
 
-def _sq_distances(X: np.ndarray) -> np.ndarray:
-    sq = np.sum(X * X, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
-    np.fill_diagonal(d2, 0.0)
-    return np.maximum(d2, 0.0)
+def default_gamma(d2: np.ndarray) -> float:
+    """1 / median pairwise squared distance (fallback 1.0 if degenerate).
 
-
-def default_gamma(X: np.ndarray) -> float:
-    """1 / median pairwise squared distance (fallback 1.0 if degenerate)."""
-    d2 = _sq_distances(np.asarray(X, dtype=np.float64))
+    d2 is the matrix sq_distances(X) returns.
+    """
     iu = np.triu_indices(d2.shape[0], k=1)
     med = float(np.median(d2[iu])) if iu[0].size else 0.0
     return 1.0 / med if med > 0 else 1.0
@@ -125,11 +121,13 @@ def kernel_pca_rbf(X: np.ndarray, k: int = 2, gamma: float | None = None
     n = X.shape[0]
     if not 1 <= k <= n:
         raise DataError(f"kernel_pca_rbf: k={k} out of range for {n} points")
-    if gamma is None:
-        gamma = default_gamma(X)
-    if gamma <= 0:
+    if gamma is not None and not gamma > 0:
         raise DataError(f"kernel_pca_rbf: gamma must be positive, got {gamma}")
-    Kc = np.exp(-gamma * _sq_distances(X))
+    d2 = sq_distances(X)
+    if gamma is None:
+        gamma = default_gamma(d2)
+    # K = exp(-gamma * d2), written over d2
+    Kc = np.exp(np.multiply(-gamma, d2, out=d2), out=d2)
     # K is symmetric, so its column means are its row means
     means = Kc.mean(axis=0)
     Kc -= means[None, :]
@@ -205,7 +203,7 @@ def tsne_affinities(X: np.ndarray, perplexity: float) -> np.ndarray:
     n = X.shape[0]
     if not 1.0 < perplexity < n:
         raise DataError(f"tsne: perplexity {perplexity} out of (1, {n})")
-    Pcond = _binary_search_bandwidths(_sq_distances(X), perplexity)
+    Pcond = _binary_search_bandwidths(sq_distances(X), perplexity)
     P = (Pcond + Pcond.T) / (2.0 * n)
     return np.maximum(P, _EPS)
 
@@ -237,7 +235,7 @@ def tsne(X: np.ndarray, perplexity: float = 30.0, iterations: int = 1000
     Y = init * (1e-4 / spread) if spread > 0 else init
 
     # two n x n buffers take every step of every iteration, in the
-    # operation order of _sq_distances and of the plain formulas, so the
+    # operation order of sq_distances and of the plain formulas, so the
     # bits match them; only the KL, at one iteration in 50, allocates.
     # Off the diagonal 0 - PQ, not -PQ, gives the bits np.diag(s) - PQ
     # gave, down to the sign of a zero
@@ -295,7 +293,7 @@ def spectral_embedding(X: np.ndarray, k_neighbors: int = 10, dims: int = 2
     if not 1 <= dims <= n - 1:
         raise DataError(f"spectral_embedding: dims {dims} must be in "
                         f"[1, {n - 1}] for {n} points")
-    d2 = _sq_distances(X)
+    d2 = sq_distances(X)
     if np.max(d2) == 0.0:
         # all points coincide: no geometry to embed
         return Embedding(np.zeros((n, dims)), "spectral",

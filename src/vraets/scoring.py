@@ -17,6 +17,7 @@ from scipy.optimize import linear_sum_assignment
 
 from vraets.clustering import ClusterAssignment
 from vraets.errors import DataError
+from vraets.numerics import sq_distances
 
 
 def confusion_matrix(truth: np.ndarray, pred: np.ndarray,
@@ -130,21 +131,21 @@ def silhouette(X: np.ndarray, labels: np.ndarray) -> float:
     labels = np.asarray(labels, dtype=np.int64)
     if X.shape[0] != labels.shape[0]:
         raise DataError("silhouette: length mismatch")
-    classes = sorted(set(labels.tolist()))
-    if len(classes) < 2:
+    _, inverse, counts = np.unique(labels, return_inverse=True,
+                                   return_counts=True)
+    if len(counts) < 2:
         raise DataError("silhouette: need at least two clusters")
-    sq = np.sum(X * X, axis=1)
-    d = np.sqrt(np.maximum(sq[:, None] + sq[None, :] - 2.0 * X @ X.T, 0.0))
-    scores = np.zeros(len(labels))
-    masks = {c: labels == c for c in classes}
-    counts = {c: int(m.sum()) for c, m in masks.items()}
-    for idx in range(len(labels)):
-        own = labels[idx]
-        if counts[own] <= 1:
-            continue
-        a = d[idx, masks[own]].sum() / (counts[own] - 1)
-        b = min(d[idx, masks[c]].mean() for c in classes if c != own)
-        scores[idx] = (b - a) / max(a, b)
+    rows = np.arange(len(labels))
+    # sums[i, c]: the distances from point i to the points of cluster c,
+    # summed by one product with a one-hot label matrix
+    sums = np.sqrt(sq_distances(X)) @ (inverse[:, None]
+                                       == np.arange(len(counts)))
+    a = sums[rows, inverse] / np.maximum(counts[inverse] - 1, 1)
+    means = sums / counts
+    means[rows, inverse] = np.inf
+    b = means.min(axis=1)
+    scores = np.divide(b - a, np.maximum(a, b), out=np.zeros(len(rows)),
+                       where=counts[inverse] > 1)
     return float(scores.mean())
 
 
@@ -162,12 +163,9 @@ def anomaly_score(X: np.ndarray, assignment: ClusterAssignment,
     if not normal_ids or not abnormal_ids:
         raise DataError("anomaly_score: need matched normal and abnormal "
                         "centroids")
-    def dist_to(ids):
-        cents = assignment.centroids[ids]
-        d2 = (np.sum(X * X, axis=1)[:, None] + np.sum(cents * cents, axis=1)
-              - 2.0 * X @ cents.T)
-        return np.sqrt(np.maximum(d2, 0.0)).min(axis=1)
-    return dist_to(normal_ids) - dist_to(abnormal_ids)
+    cents = assignment.centroids
+    return (np.sqrt(sq_distances(X, cents[normal_ids])).min(axis=1)
+            - np.sqrt(sq_distances(X, cents[abnormal_ids])).min(axis=1))
 
 
 @dataclass

@@ -17,7 +17,8 @@ import pytest
 from vraets import (artifacts, clustering, dataset, projection, scoring,
                     vrae)
 from vraets.cli import main
-from vraets.numerics import SeededRng, finite_difference_gradient
+from vraets.numerics import (SeededRng, finite_difference_gradient,
+                             sq_distances)
 from vraets.vrae import AnnealSchedule, VraeConfig
 
 
@@ -232,7 +233,7 @@ class TestProjectionProperties:
         X = rng.standard_normal((60, 5))
         for perplexity in (5.0, 15.0, 30.0):
             P = projection._binary_search_bandwidths(
-                projection._sq_distances(X), perplexity)
+                sq_distances(X), perplexity)
             for i in range(60):
                 row = P[i][P[i] > 0]
                 h = -np.sum(row * np.log2(row))

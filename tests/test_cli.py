@@ -221,13 +221,19 @@ class TestExitCodes:
          ["cluster", "--method", "dbscan", "--embedding", "{embedding}"]),
         ("prep.classes = three", ["preprocess", "--data", "{data}"]),
         ("prep.features = 7", ["preprocess", "--data", "{data}"]),
+        ("project.gamma = NaN",
+         ["project", "--method", "kpca", "--latents", "{latents}"]),
+        ("cluster.eps = NaN",
+         ["cluster", "--method", "dbscan", "--embedding", "{embedding}"]),
+        ("vrae.learning_rate = Infinity",
+         ["train", "--train-data", "{prep}/train.windows"]),
     ], ids=["gamma-str", "gamma-bool", "eps-list", "classes-unknown",
-            "features-int"])
+            "features-int", "gamma-nan", "eps-nan", "learning-rate-inf"])
     def test_bad_optional_or_choice_config_value_is_2(self, pipeline_dir,
                                                       tmp_path, capsys, line,
                                                       argv):
-        # these used to end in a traceback, run with gamma 1.0, or
-        # silently run the multi-class split
+        # these used to end in a traceback, run with gamma 1.0, find 0
+        # DBSCAN clusters, or silently run the multi-class split
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(line + "\n")
         code = main([a.format(**pipeline_dir) for a in argv]

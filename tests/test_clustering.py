@@ -254,6 +254,76 @@ class TestDbscan:
             clustering.dbscan(X, eps=0.0)
         with pytest.raises(DataError):
             clustering.dbscan(X, eps=1.0, min_pts=0)
+        with pytest.raises(DataError, match="eps"):
+            clustering.dbscan(X, eps=float("nan"))
+
+
+def _bfs_dbscan(X, eps, min_pts):
+    """DBSCAN as a breadth-first search from each unlabelled core point in
+    index order, on brute-force distances; noise is -1."""
+    n = X.shape[0]
+    d = np.sqrt(np.sum((X[:, None] - X[None]) ** 2, axis=2))
+    neighbors = [np.flatnonzero(d[i] <= eps) for i in range(n)]
+    core = np.array([len(nb) >= min_pts for nb in neighbors])
+    labels = np.full(n, -1, dtype=np.int64)
+    cluster = 0
+    for i in range(n):
+        if labels[i] != -1 or not core[i]:
+            continue
+        labels[i] = cluster
+        queue = list(neighbors[i])
+        while queue:
+            j = queue.pop(0)
+            if labels[j] == -1:
+                labels[j] = cluster
+                if core[j]:
+                    queue.extend(neighbors[j])
+        cluster += 1
+    return labels
+
+
+class TestDbscanMatchesBfs:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_integer_grids_with_ties(self, seed):
+        # small integer coordinates make every distance exact and tie
+        # many of them at eps; n runs from 1 upwards
+        rng = np.random.default_rng(seed)
+        for n in range(1, 60, 3):
+            X = rng.integers(0, 6, size=(n, int(rng.integers(1, 4))))
+            X = X.astype(np.float64)
+            for eps in (1.0, np.sqrt(2.0), 2.0, 3.0):
+                for min_pts in (1, 2, 3, 5):
+                    np.testing.assert_array_equal(
+                        clustering.dbscan(X, eps, min_pts).labels,
+                        _bfs_dbscan(X, eps, min_pts))
+
+    def test_no_core_point_and_single_point(self):
+        X = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0], [3.0, 1.0]])
+        np.testing.assert_array_equal(clustering.dbscan(X, 1.0, 3).labels,
+                                      [-1, -1, -1, -1])
+        np.testing.assert_array_equal(_bfs_dbscan(X, 1.0, 3), [-1] * 4)
+        for min_pts in (1, 2):
+            np.testing.assert_array_equal(
+                clustering.dbscan(X[:1], 0.5, min_pts).labels,
+                _bfs_dbscan(X[:1], 0.5, min_pts))
+
+    def test_border_point_takes_the_first_reached_cluster(self):
+        # the border point 0 lies within eps of core point 4 (index 4,
+        # cluster 1) and of core point -4 (index 9, cluster 0); the BFS
+        # of cluster 0 runs first and takes it
+        X = np.array([[-8.0], [-7.0], [-6.0], [-5.0], [4.0], [5.0], [6.0],
+                      [7.0], [8.0], [-4.0], [0.0]])
+        labels = clustering.dbscan(X, 4.0, 4).labels
+        np.testing.assert_array_equal(labels, _bfs_dbscan(X, 4.0, 4))
+        np.testing.assert_array_equal(labels,
+                                      [0, 0, 0, 0, 1, 1, 1, 1, 1, 0, 0])
+
+    def test_every_point_is_its_own_neighbour(self):
+        # with min_pts 1 every point is core, however small eps is; the
+        # distance of a point to itself is an exact 0
+        X = np.random.default_rng(5).normal(size=(40, 5)) * 1e3
+        np.testing.assert_array_equal(
+            clustering.dbscan(X, 2e-5, 1).labels, np.arange(40))
 
 
 # ----------------------------------------------------------- artifact

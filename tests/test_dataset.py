@@ -456,40 +456,6 @@ class TestSplit:
             dataset.split(ds, 0.7, 0)
 
 
-def multi_class_windows(sizes, seed=0):
-    rng = np.random.default_rng(seed)
-    labels = np.concatenate([[c] * n for c, n in enumerate(sizes)])
-    windows = rng.normal(size=(len(labels), 4, 2))
-    return dataset.WindowedDataset(windows, labels, 4, 4, ["a", "b"])
-
-
-class TestBalance:
-    def test_uniform_subsample(self):
-        ds = multi_class_windows([700, 650, 620, 610])
-        out = dataset.balance(ds, 600, seed=1)
-        assert len(out) == 2400
-        assert all(c == 600 for c in out.class_counts().values())
-
-    def test_full_size_is_permutation(self):
-        ds = multi_class_windows([5, 5])
-        out = dataset.balance(ds, 5, seed=2)
-        assert sorted(out.labels.tolist()) == sorted(ds.labels.tolist())
-        assert ({tuple(w.ravel()) for w in out.windows}
-                == {tuple(w.ravel()) for w in ds.windows})
-
-    def test_single_per_class_deterministic(self):
-        ds = multi_class_windows([10, 10, 10])
-        a = dataset.balance(ds, 1, seed=7)
-        b = dataset.balance(ds, 1, seed=7)
-        np.testing.assert_array_equal(a.windows, b.windows)
-        assert sorted(a.labels.tolist()) == [0, 1, 2]
-
-    def test_overdraw_rejected(self):
-        ds = multi_class_windows([4, 9])
-        with pytest.raises(DataError):
-            dataset.balance(ds, 5, seed=0)
-
-
 class TestLabelsPreserved:
     def test_through_scaling_and_subset(self):
         ds = two_class_windows(n0=6, n1=4)

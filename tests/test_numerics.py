@@ -7,7 +7,8 @@ from hypothesis import given, strategies as st
 from vraets import clustering, projection
 from vraets.errors import DataError
 from vraets.numerics import (AdamState, SeededRng, adam_step, clip_global_norm,
-                             finite_difference_gradient, global_norm, softplus)
+                             finite_difference_gradient, global_norm, softplus,
+                             sq_distances)
 
 
 class TestSoftplus:
@@ -31,6 +32,37 @@ class TestSoftplus:
         assert y >= 0.0
         assert y >= x
         assert float(softplus(x + 0.5)) > y
+
+
+def _pairwise_sq(X, C):
+    """The squared distances k-means, DBSCAN and the anomaly score used
+    before they shared sq_distances: (2X) @ C.T, not 2 (X @ C.T)."""
+    d2 = (np.sum(X * X, axis=1)[:, None] + np.sum(C * C, axis=1)[None, :]
+          - 2.0 * X @ C.T)
+    return np.maximum(d2, 0.0)
+
+
+class TestSqDistances:
+    @pytest.mark.parametrize("n, d, scale", [(1, 3, 1.0), (10, 2, 1.0),
+                                             (40, 5, 1e3), (200, 8, 1e-3)])
+    def test_self_form_zero_diagonal_symmetric_nonnegative(self, n, d, scale):
+        X = np.random.default_rng(n).normal(size=(n, d)) * scale
+        d2 = sq_distances(X)
+        assert np.all(np.diag(d2) == 0.0)
+        np.testing.assert_array_equal(d2, d2.T)
+        assert np.all(d2 >= 0.0)
+        np.testing.assert_allclose(
+            d2, np.sum((X[:, None] - X[None]) ** 2, axis=2),
+            rtol=1e-9, atol=1e-9 * scale ** 2)
+
+    @pytest.mark.parametrize("n, m, d", [(1, 1, 2), (30, 1, 2), (30, 4, 2),
+                                         (375, 4, 5), (50, 50, 20)])
+    def test_cross_form_bit_equal_to_old_copies(self, n, m, d):
+        rng = np.random.default_rng(n + m)
+        X = rng.normal(size=(n, d)) * 7.0
+        C = rng.normal(size=(m, d))
+        np.testing.assert_array_equal(sq_distances(X, C), _pairwise_sq(X, C))
+        assert sq_distances(X, C).tobytes() == _pairwise_sq(X, C).tobytes()
 
 
 class TestAdam:

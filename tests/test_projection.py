@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from vraets import artifacts, projection
 from vraets.errors import DataError
-from vraets.numerics import SeededRng
+from vraets.numerics import SeededRng, sq_distances
 
 
 def _random_data(n, d, seed=0, scale=1.0):
@@ -124,7 +124,8 @@ class TestKernelPca:
         for i in range(20):
             for j in range(i + 1, 20):
                 d2.append(np.sum((X[i] - X[j]) ** 2))
-        assert projection.default_gamma(X) == pytest.approx(1.0 / np.median(d2))
+        assert (projection.default_gamma(sq_distances(X))
+                == pytest.approx(1.0 / np.median(d2)))
 
     def test_scores_centered(self):
         X = _random_data(25, 4, seed=11)
@@ -173,9 +174,9 @@ def _kernel_pca_reference(X, k, gamma=None):
     products against a dense 1/n matrix, and every eigenpair of the
     result from np.linalg.eigh. Returns (points, eigenvalues)."""
     if gamma is None:
-        gamma = projection.default_gamma(X)
+        gamma = projection.default_gamma(sq_distances(X))
     n = X.shape[0]
-    K = np.exp(-gamma * projection._sq_distances(X))
+    K = np.exp(-gamma * sq_distances(X))
     one = np.full((n, n), 1.0 / n)
     Kc = K - one @ K - K @ one + one @ K @ one
     eigvals, eigvecs = np.linalg.eigh(Kc)
@@ -211,7 +212,7 @@ class TestTsne:
         X = _random_data(50, 5, seed=14)
         perplexity = 12.0
         P = projection._binary_search_bandwidths(
-            projection._sq_distances(X), perplexity)
+            sq_distances(X), perplexity)
         for i in range(50):
             row = P[i][P[i] > 0]
             h = -np.sum(row * np.log2(row))
@@ -392,7 +393,7 @@ class TestBandwidthsMatchReference:
         (_far_outlier(), 8.0),
     ], ids=["n5", "n37", "n120", "duplicates", "far-outlier"])
     def test_bit_equal(self, X, perplexity):
-        d2 = projection._sq_distances(X)
+        d2 = sq_distances(X)
         P = projection._binary_search_bandwidths(d2, perplexity)
         ref = _bandwidths_reference(d2, perplexity)
         np.testing.assert_array_equal(P, ref)
@@ -401,7 +402,7 @@ class TestBandwidthsMatchReference:
 
     def test_outlier_weights_underflow(self):
         P = projection._binary_search_bandwidths(
-            projection._sq_distances(_far_outlier()), 8.0)
+            sq_distances(_far_outlier()), 8.0)
         others = np.delete(np.arange(30), 7)
         assert np.all(P[others, 7] == 0.0)
         assert np.allclose(P.sum(axis=1), 1.0)
@@ -411,7 +412,7 @@ class TestBandwidthsMatchReference:
         # nonzero entropy terms, as the reference does: with tol at that
         # row's first |h - target|, an entropy off by one ulp would stop
         # the row one iteration early or late
-        d2 = projection._sq_distances(_far_outlier())
+        d2 = sq_distances(_far_outlier())
         target = np.log2(8.0)
         for i in np.delete(np.arange(30), 7):
             p = np.exp(-np.delete(d2[i], i))
@@ -424,7 +425,7 @@ class TestBandwidthsMatchReference:
                     _bandwidths_reference(d2, 8.0, tol=tol))
 
     def test_max_iter_stops_unconverged_rows(self):
-        d2 = projection._sq_distances(_random_data(20, 3, seed=43))
+        d2 = sq_distances(_random_data(20, 3, seed=43))
         np.testing.assert_array_equal(
             projection._binary_search_bandwidths(d2, 5.0, max_iter=3),
             _bandwidths_reference(d2, 5.0, max_iter=3))
@@ -436,7 +437,7 @@ def _laplacian_by_neighbour_loop(X, k_neighbors):
     """The symmetric-normalized Laplacian with the kNN graph built row by
     row: each row's first k_neighbors others in stable distance order."""
     n = X.shape[0]
-    order = np.argsort(projection._sq_distances(X), axis=1, kind="stable")
+    order = np.argsort(sq_distances(X), axis=1, kind="stable")
     adj = np.zeros((n, n))
     for i in range(n):
         neigh = [j for j in order[i] if j != i][:k_neighbors]

@@ -201,6 +201,53 @@ class TestAnomalyScore:
             scoring.anomaly_score(np.zeros((2, 2)), assignment, {0: 0})
 
 
+# ---------------------------------------------------------- silhouette
+
+def _silhouette_per_point(X, labels):
+    """Mean silhouette from the definition, one point at a time."""
+    scores = []
+    for i in range(len(X)):
+        d = np.linalg.norm(X - X[i], axis=1)
+        own = labels == labels[i]
+        if own.sum() == 1:
+            scores.append(0.0)
+            continue
+        a = d[own].sum() / (own.sum() - 1)
+        b = min(d[labels == c].mean() for c in set(labels.tolist())
+                if c != labels[i])
+        scores.append((b - a) / max(a, b))
+    return float(np.mean(scores))
+
+
+class TestSilhouette:
+    @pytest.mark.parametrize("n, k, seed", [(10, 2, 0), (10, 3, 1),
+                                            (60, 4, 2), (150, 5, 3)])
+    def test_matches_per_point_definition(self, n, k, seed):
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, k, size=n)
+        labels[:k] = np.arange(k)
+        X = rng.normal(size=(n, 3)) + labels[:, None]
+        assert scoring.silhouette(X, labels) == pytest.approx(
+            _silhouette_per_point(X, labels), rel=0, abs=1e-12)
+
+    def test_singleton_scores_zero(self):
+        X = np.array([[0.0, 0.0], [0.0, 1.0], [9.0, 9.0]])
+        labels = np.array([0, 0, 5])
+        # the pair: a = 1, b = the mean distance to the singleton
+        b = np.linalg.norm(X[:2] - X[2], axis=1)
+        expected = np.sum((b - 1.0) / b) / 3
+        assert scoring.silhouette(X, labels) == pytest.approx(expected,
+                                                              abs=1e-15)
+        assert scoring.silhouette(X, labels) == pytest.approx(
+            _silhouette_per_point(X, labels), abs=1e-15)
+
+    def test_errors(self):
+        with pytest.raises(DataError, match="two clusters"):
+            scoring.silhouette(np.zeros((3, 2)), np.zeros(3, dtype=int))
+        with pytest.raises(DataError, match="length"):
+            scoring.silhouette(np.zeros((3, 2)), np.array([0, 1]))
+
+
 # ------------------------------------------------------- score report
 
 class TestScoreReport:
