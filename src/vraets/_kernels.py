@@ -1,12 +1,14 @@
 """LSTM time loops: the hot path of training.
 
 One numpy forward and one numpy backward, both on time-major arrays so
-each step slice is contiguous. The forward allocates its outputs and a
-few per-step scratch buffers once per call; every step then writes
-through `out=` ufuncs, so the loop itself allocates nothing. The
-arithmetic is fixed operation by operation, which makes the results
-bit-reproducible on a given numpy/BLAS build; gradients are checked
-against finite differences in the test suite.
+each step slice is contiguous. The forward allocates its outputs and
+two per-step scratch buffers once per call; every step then writes
+through `out=` ufuncs, so the loop itself allocates nothing. The three
+sigmoid gates come from the cell input's `tanh` call, as
+0.5 + 0.5 * tanh(a / 2). The arithmetic is fixed operation by
+operation, which makes the results bit-reproducible on a given
+numpy/BLAS build; gradients are checked against finite differences in
+the test suite.
 
 Layouts:
     x_proj  (T, B, 4H)  pre-activations from the input side, bias included
@@ -27,26 +29,6 @@ import numpy as np
 HAVE_NUMBA = False
 
 
-def _sigmoid_into(a, out, e, d):
-    """Logistic sigmoid of `a` into `out`, without overflow or temporaries.
-
-    With e = exp(min(a, -a)) = exp(-|a|) and d = 1 + e the result is
-    1/d for a >= 0 and e/d otherwise (a < 0 or nan): the same
-    operations, hence the same bits, as evaluating 1/(1 + exp(-a)) on
-    the non-negative entries and exp(a)/(1 + exp(a)) on the rest. The
-    numerator max(e, sign(a)) is 1 for a >= 0 (e <= 1 there, and e == 1
-    at a == 0) and e otherwise. `e` and `d` are scratch buffers shaped
-    like `a`.
-    """
-    np.negative(a, out=e)
-    np.minimum(a, e, out=e)
-    np.exp(e, out=e)
-    np.add(e, 1.0, out=d)
-    np.sign(a, out=out)
-    np.maximum(e, out, out=out)
-    np.divide(out, d, out=out)
-
-
 def lstm_forward(x_proj, W_h, h0, c0):
     T, B, H4 = x_proj.shape
     H = H4 // 4
@@ -58,15 +40,16 @@ def lstm_forward(x_proj, W_h, h0, c0):
     h_all[0] = h0
     c_all[0] = c0
     pre = np.empty((B, H4))
-    e = np.empty((B, H3))
-    d = np.empty((B, H3))
     ig = np.empty((B, H))
     for t in range(T):
         np.matmul(h_all[t], W_h, out=pre)
         np.add(x_proj[t], pre, out=pre)
+        # sigmoid(a) = 0.5 + 0.5 * tanh(a / 2): one tanh for all four gates
+        np.multiply(pre[:, :H3], 0.5, out=pre[:, :H3])
         g_t = gates[t]
-        _sigmoid_into(pre[:, :H3], g_t[:, :H3], e, d)
-        np.tanh(pre[:, H3:], out=g_t[:, H3:])
+        np.tanh(pre, out=g_t)
+        np.multiply(g_t[:, :H3], 0.5, out=g_t[:, :H3])
+        np.add(g_t[:, :H3], 0.5, out=g_t[:, :H3])
         c = c_all[t + 1]
         np.multiply(g_t[:, H:2 * H], c_all[t], out=c)
         np.multiply(g_t[:, :H], g_t[:, H3:], out=ig)

@@ -53,8 +53,18 @@ class ClusterAssignment:
         _, meta, arrays = artifacts.load_artifact(path, expect_kind="assignment")
         artifacts.require_keys(path, meta, arrays, ("method", "params"),
                                ("labels",))
-        return cls(arrays["labels"], meta["method"], meta["params"],
-                   arrays.get("centroids"), meta.get("inertia"))
+        labels, centroids = arrays["labels"], arrays.get("centroids")
+        if centroids is not None:
+            if centroids.ndim != 2:
+                raise DataError(f"{path}: centroids must be 2-D, got shape "
+                                f"{centroids.shape}")
+            top = int(labels.max(initial=-1))
+            if centroids.shape[0] <= top:
+                raise DataError(f"{path}: centroids have "
+                                f"{centroids.shape[0]} rows for cluster id "
+                                f"{top}")
+        return cls(labels, meta["method"], meta["params"], centroids,
+                   meta.get("inertia"))
 
 
 def _kmeans_seed(X: np.ndarray, k: int, rng: SeededRng) -> np.ndarray:

@@ -18,7 +18,6 @@ from vraets.vrae import AnnealSchedule, VraeConfig
 
 DEFAULTS: dict = {
     "seed": 0,
-    "data.dir": "data",
     "synth.rotation_hz": 0.2,
     "synth.sample_rate_hz": 40.0,
     "synth.harmonics": 3,

@@ -158,12 +158,15 @@ def anomaly_score(X: np.ndarray, assignment: ClusterAssignment,
         raise DataError("anomaly_score: assignment has no centroids "
                         "(density-based methods fall back to hard-label AUC)")
     X = np.asarray(X, dtype=np.float64)
+    cents = assignment.centroids
+    if cents.shape[1:] != X.shape[1:]:
+        raise DataError(f"anomaly_score: centroids have shape {cents.shape} "
+                        f"for points of shape {X.shape}")
     normal_ids = [cid for cid, cls in mapping.items() if cls == normal_class]
     abnormal_ids = [cid for cid, cls in mapping.items() if cls != normal_class]
     if not normal_ids or not abnormal_ids:
         raise DataError("anomaly_score: need matched normal and abnormal "
                         "centroids")
-    cents = assignment.centroids
     return (np.sqrt(sq_distances(X, cents[normal_ids])).min(axis=1)
             - np.sqrt(sq_distances(X, cents[abnormal_ids])).min(axis=1))
 
@@ -218,13 +221,12 @@ def score_assignment(assignment: ClusterAssignment, truth: np.ndarray,
     mapping, matched = match_labels(assignment.labels, truth)
     metrics = classification_metrics(matched, truth)
     binary_truth = (truth != normal_class).astype(np.int64)
-    try:
-        if assignment.centroids is not None and points is not None:
-            scores = anomaly_score(points, assignment, mapping, normal_class)
-            auc = auc_binary(scores, binary_truth)
-        else:
-            raise DataError("no centroids")
-    except DataError:
+    matched_classes = set(mapping.values())
+    if (assignment.centroids is not None and points is not None
+            and normal_class in matched_classes and len(matched_classes) > 1):
+        scores = anomaly_score(points, assignment, mapping, normal_class)
+        auc = auc_binary(scores, binary_truth)
+    else:
         hard = np.where(matched == -1, -1,
                         (matched != normal_class).astype(np.int64))
         # noise (-1) predictions are "not flagged normal": count as positive

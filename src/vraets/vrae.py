@@ -133,9 +133,10 @@ def encoder_forward(params: dict, x: np.ndarray, n_hidden: int):
     """Runs the encoder LSTM over a (B, L, d) batch from zero state.
 
     Returns the final hidden state (B, n_hidden) and the time-major
-    state cache needed by the backward pass. The input projection
-    x_t @ W_x is computed for all timesteps in one matmul; the
-    recurrence itself runs in `_kernels.lstm_forward`.
+    state cache needed by the backward pass, which includes a (L, B, d)
+    copy of the input. The input projection x_t @ W_x is computed from
+    that copy for all timesteps in one matmul; the recurrence itself
+    runs in `_kernels.lstm_forward`.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 2:
@@ -146,14 +147,15 @@ def encoder_forward(params: dict, x: np.ndarray, n_hidden: int):
                         f"{params['enc_W'].shape[0] - n_hidden}, got {d}")
     W_x = params["enc_W"][:d]
     W_h = np.ascontiguousarray(params["enc_W"][d:])
-    x_proj = x.reshape(batch * length, d) @ W_x
-    x_proj = x_proj.reshape(batch, length, 4 * n_hidden) + params["enc_b"]
-    x_proj = np.ascontiguousarray(x_proj.transpose(1, 0, 2))
+    x_tm = np.ascontiguousarray(x.transpose(1, 0, 2))
+    x_proj = x_tm.reshape(length * batch, d) @ W_x
+    x_proj += params["enc_b"]
+    x_proj = x_proj.reshape(length, batch, 4 * n_hidden)
     zeros = np.zeros((batch, n_hidden))
     h_all, c_all, gates, tanhc = _kernels.lstm_forward(x_proj, W_h,
                                                        zeros, zeros)
     cache = {"h_all": h_all, "c_all": c_all, "gates": gates, "tanhc": tanhc,
-             "x": x}
+             "x": x_tm}
     return h_all[length].copy(), cache
 
 
@@ -304,7 +306,7 @@ def backward(params: dict, cache: dict, config: VraeConfig
         enc["gates"], enc["tanhc"], enc["c_all"],
         np.ascontiguousarray(W_h.T))
     da_flat = da_all.reshape(length * batch, 4 * n_h)
-    x_flat = enc["x"].transpose(1, 0, 2).reshape(length * batch, d)
+    x_flat = enc["x"].reshape(length * batch, d)
     grads["enc_W"][:d] += x_flat.T @ da_flat
     grads["enc_W"][d:] += enc["h_all"][:-1].reshape(length * batch, n_h).T \
         @ da_flat
@@ -340,17 +342,27 @@ class Checkpoint:
         except (TypeError, ValueError, KeyError) as exc:
             raise DataError(f"{path}: bad model config in checkpoint "
                             f"({exc!r})") from None
+        for key in ("epoch", "adam_step"):
+            if type(meta[key]) is not int or meta[key] < 0:
+                raise DataError(f"{path}: {key} must be an integer >= 0, "
+                                f"got {meta[key]!r}")
+        history = meta["history"]
+        if type(history) is not dict or not all(
+                type(v) is list and all(type(e) in (int, float) for e in v)
+                for v in history.values()):
+            raise DataError(f"{path}: history must map names to lists of "
+                            "numbers")
         params = {k.split("/", 1)[1]: v for k, v in arrays.items()
                   if k.startswith("param/")}
         _check_shapes(config, params)
         adam = AdamState(params)
-        adam.step = int(meta["adam_step"])
+        adam.step = meta["adam_step"]
         adam.m = {k.split("/", 1)[1]: v for k, v in arrays.items()
                   if k.startswith("adam_m/")}
         adam.v = {k.split("/", 1)[1]: v for k, v in arrays.items()
                   if k.startswith("adam_v/")}
-        history = {k: list(map(float, v)) for k, v in meta["history"].items()}
-        return cls(config, params, adam, int(meta["epoch"]), history)
+        history = {k: list(map(float, v)) for k, v in history.items()}
+        return cls(config, params, adam, meta["epoch"], history)
 
 
 def _check_shapes(config: VraeConfig, params: dict) -> None:

@@ -347,6 +347,42 @@ class TestExitCodes:
         assert f"{key} must be" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["bad"]
 
+    @pytest.mark.parametrize("key, value", [
+        ("epoch", "x"), ("epoch", 2.5), ("adam_step", "x"),
+        ("adam_step", -1), ("history", [1.0]),
+        ("history", {"train_total": "ab"}),
+    ], ids=["epoch-str", "epoch-float", "adam-step-str", "adam-step-negative",
+            "history-list", "history-str-values"])
+    def test_checkpoint_bad_meta_type_is_2(self, pipeline_dir, tmp_path,
+                                           capsys, key, value):
+        kind, meta, arrays = artifacts.load_artifact(pipeline_dir["model.ckpt"])
+        meta[key] = value
+        bad = str(tmp_path / "bad")
+        artifacts.save_artifact(bad, kind, meta, arrays)
+        code = main(["encode", "--checkpoint", bad, "--data",
+                     os.path.join(pipeline_dir["prep"], "test.windows"),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"{key} must" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["bad"]
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda c: c[:, 0], "centroids must be 2-D"),
+        (lambda c: np.hstack([c, c]), "centroids have shape"),
+        (lambda c: c[:1], "centroids have 1 rows for cluster id 1"),
+    ], ids=["centroids-1d", "centroids-wide", "centroids-short"])
+    def test_assignment_bad_centroids_is_2(self, pipeline_dir, tmp_path,
+                                           capsys, change, message):
+        kind, meta, arrays = artifacts.load_artifact(pipeline_dir["assignment"])
+        arrays["centroids"] = change(arrays["centroids"])
+        bad = str(tmp_path / "bad")
+        artifacts.save_artifact(bad, kind, meta, arrays)
+        code = main(["score", "--assignment", bad, "--embedding",
+                     pipeline_dir["embedding"], "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["bad"]
+
     def test_kpca_on_one_row_latents_is_2(self, tmp_path, capsys):
         latents = str(tmp_path / "latents")
         artifacts.save_artifact(latents, "latents", {"latent_dim": 3},

@@ -200,6 +200,18 @@ class TestAnomalyScore:
         with pytest.raises(DataError):
             scoring.anomaly_score(np.zeros((2, 2)), assignment, {0: 0})
 
+    @pytest.mark.parametrize("centroids", [np.zeros((2, 3)), np.zeros((2, 1)),
+                                           np.zeros(2)])
+    def test_centroid_width_must_match_points(self, centroids):
+        assignment = ClusterAssignment(labels=np.array([0, 1]),
+                                       method="kmeans", centroids=centroids)
+        with pytest.raises(DataError, match="centroids have shape"):
+            scoring.anomaly_score(np.zeros((2, 2)), assignment, {0: 0, 1: 1})
+        # score_assignment does not fall back to hard labels on it
+        with pytest.raises(DataError, match="centroids have shape"):
+            scoring.score_assignment(assignment, np.array([0, 1]),
+                                     np.zeros((2, 2)))
+
 
 # ---------------------------------------------------------- silhouette
 

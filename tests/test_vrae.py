@@ -406,9 +406,10 @@ class TestLatentLineReport:
 
 
 # Reference LSTM kernels for TestKernelPaths. `_scalar_*` are per-element
-# loops written straight from the cell equations; `_vectorised_*` are the
-# earlier vectorised kernels with a masked sigmoid, whose bits the
-# allocation-free `_kernels` versions must reproduce exactly.
+# loops written straight from the cell equations; `_vectorised_*` are
+# plain vectorised kernels, with the sigmoid as 0.5 + 0.5 * tanh(a / 2),
+# whose bits the allocation-free `_kernels` versions must reproduce
+# exactly.
 
 def _scalar_forward(x_proj, W_h, h0, c0):
     T, B, H4 = x_proj.shape
@@ -485,7 +486,7 @@ def _vectorised_forward(x_proj, W_h, h0, c0):
     c_all[0] = c0
     for t in range(T):
         a = x_proj[t] + h_all[t] @ W_h
-        gates[t, :, :3 * H] = _masked_sigmoid(a[:, :3 * H])
+        gates[t, :, :3 * H] = 0.5 + 0.5 * np.tanh(0.5 * a[:, :3 * H])
         gates[t, :, 3 * H:] = np.tanh(a[:, 3 * H:])
         i = gates[t, :, :H]
         f = gates[t, :, H:2 * H]
@@ -588,11 +589,15 @@ class TestKernelPaths:
 
     def test_special_preactivations_bit_identical(self):
         # zero recurrent weights and state make every pre-activation of
-        # the first step equal to x_proj (-0.0 turns into +0.0 there; the
-        # sigmoid test below covers it)
+        # the first step equal to x_proj (-0.0 turns into +0.0 there)
         from vraets import _kernels
-        special = np.array([0.0, -0.0, 800.0, -800.0, np.inf, -np.inf,
-                            np.nan, 1e-300, -1e-300, 36.7, -36.7, -745.2])
+        exact = np.array([0.0, -0.0, 800.0, np.inf, -800.0, -np.inf, -745.2,
+                          np.nan])
+        gate_at_exact = [0.5, 0.5, 1.0, 1.0, 0.0, 0.0, 0.0, np.nan]
+        rng = np.random.default_rng(3)
+        other = np.concatenate([[1e-300, -1e-300, 5e-324, -5e-324, 36.7,
+                                 -36.7], rng.normal(scale=20.0, size=400)])
+        special = np.concatenate([exact, other])
         H = len(special)
         x_proj = np.tile(special, 4)[None, None, :]
         W_h = np.zeros((H, 4 * H))
@@ -600,18 +605,11 @@ class TestKernelPaths:
         with np.errstate(all="ignore"):
             fwd = _kernels.lstm_forward(x_proj, W_h, zeros, zeros)
             want = _vectorised_forward(x_proj, W_h, zeros, zeros)
+            logistic = _masked_sigmoid(other)
         _assert_all_equal(fwd, want)
-        np.testing.assert_array_equal(fwd[2][0, 0, :H],
-                                      _masked_sigmoid(special))
-
-    def test_sigmoid_bit_identical_on_signed_zeros_and_extremes(self):
-        from vraets import _kernels
-        rng = np.random.default_rng(3)
-        a = np.concatenate([[0.0, -0.0, 800.0, -800.0, np.inf, -np.inf,
-                             np.nan, 5e-324, -5e-324],
-                            rng.normal(scale=20.0, size=2000)])
-        out, e, d = np.empty_like(a), np.empty_like(a), np.empty_like(a)
-        with np.errstate(all="ignore"):
-            _kernels._sigmoid_into(a, out, e, d)
-            want = _masked_sigmoid(a)
-        np.testing.assert_array_equal(out, want)
+        for gate in fwd[2][0, 0, :3 * H].reshape(3, H):
+            np.testing.assert_array_equal(gate[:len(exact)], gate_at_exact)
+            np.testing.assert_allclose(gate[len(exact):], logistic, rtol=0,
+                                       atol=2.3e-16)
+            # the tanh form underflows to an exact 0 in the far tail
+            assert np.all(gate[len(exact):][other < -38] == 0.0)
