@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 import os
+from contextlib import contextmanager
 from typing import Any
 
 import numpy as np
@@ -27,7 +28,7 @@ _DTYPES = {"<f8": np.dtype("<f8"), "<i8": np.dtype("<i8")}
 def save_artifact(path, kind: str, meta: dict[str, Any],
                   arrays: dict[str, np.ndarray]) -> None:
     entries = []
-    blobs = []
+    contiguous = []
     for name, arr in arrays.items():
         arr = np.asarray(arr)
         if arr.dtype.kind == "f":
@@ -40,15 +41,33 @@ def save_artifact(path, kind: str, meta: dict[str, Any],
             raise DataError(f"save_artifact: non-finite values in {name!r}")
         entries.append({"name": name, "dtype": arr.dtype.str,
                         "shape": list(arr.shape)})
-        blobs.append(arr.tobytes())
+        contiguous.append(arr)
     header = {"magic": _MAGIC, "format_version": FORMAT_VERSION,
               "kind": kind, "meta": meta, "arrays": entries}
     line = json.dumps(header, sort_keys=True, separators=(",", ":"))
-    with open(path, "wb") as fh:
+    with replacing(path, binary=True) as fh:
         fh.write(line.encode("utf-8"))
         fh.write(b"\n")
-        for blob in blobs:
-            fh.write(blob)
+        for arr in contiguous:
+            fh.write(arr)   # the array's own buffer, no bytes copy
+
+
+@contextmanager
+def replacing(path, binary: bool = False):
+    """Yields a new file (UTF-8 text with no newline translation, or
+    binary) that replaces `path` when the block ends; on any exception it
+    is removed and `path` keeps what it held. It is made next to `path`
+    with mode "x", so the umask sets its permissions. No fsync."""
+    tmp = f"{os.fspath(path)}.{os.urandom(4).hex()}.tmp"
+    fh = (open(tmp, "xb") if binary
+          else open(tmp, "x", encoding="utf-8", newline=""))
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_artifact(path, expect_kind: str | None = None):
@@ -131,16 +150,16 @@ def sha256_file(path) -> str:
 
 
 def write_manifest(artifact_path, config: dict[str, Any],
-                   inputs: dict[str, str], seed: int | None) -> str:
+                   inputs: dict[str, str]) -> str:
     """Writes a reproducibility manifest next to an artifact."""
     manifest = {
         "artifact": os.path.basename(str(artifact_path)),
         "config": config,
         "input_hashes": {k: sha256_file(v) for k, v in inputs.items()},
-        "seed": seed,
+        "seed": config["seed"],
     }
     path = str(artifact_path) + ".manifest.json"
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
         fh.write("\n")
     return path

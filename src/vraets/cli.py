@@ -23,64 +23,60 @@ from vraets import scoring, svgplot, vrae
 from vraets.errors import DataError, NumericalError, PipelineError
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="config file (key = value lines)")
-    p.add_argument("--preset", choices=sorted(cfgmod.PRESETS),
-                   help="named hyperparameter preset")
-    p.add_argument("--seed", type=int, help="global seed override")
-    p.add_argument("--out", required=True, help="output file or directory")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="config file (key = value lines)")
+    common.add_argument("--preset", choices=sorted(cfgmod.PRESETS),
+                        help="named hyperparameter preset")
+    common.add_argument("--seed", type=int, help="global seed override")
+    common.add_argument("--out", required=True,
+                        help="output file or directory")
     parser = argparse.ArgumentParser(
         prog="vraets",
         description="VRAE anomaly-detection pipeline for turbine time series")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", help="write synthetic simulation CSVs")
-    _add_common(p)
+    def stage(name, help_text):
+        return sub.add_parser(name, help=help_text, parents=[common])
 
-    p = sub.add_parser("preprocess",
-                       help="select features, window, split, scale")
+    stage("generate", "write synthetic simulation CSVs")
+
+    p = stage("preprocess", "select features, window, split, scale")
     p.add_argument("--data", required=True, help="directory of CSVs + metadata")
-    _add_common(p)
 
-    p = sub.add_parser("train", help="train the VRAE")
+    p = stage("train", "train the VRAE")
     p.add_argument("--train-data", required=True, help="train windows artifact")
     p.add_argument("--val-data", help="validation windows artifact")
-    p.add_argument("--epochs", type=int, help="override epoch count")
-    _add_common(p)
+    p.add_argument("--epochs", type=int, dest="vrae.epochs", metavar="N",
+                   help="override epoch count")
 
-    p = sub.add_parser("encode", help="encode windows to latent means")
+    p = stage("encode", "encode windows to latent means")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True, help="windows artifact")
-    _add_common(p)
 
-    p = sub.add_parser("project", help="project latents to 2D")
+    p = stage("project", "project latents to 2D")
     p.add_argument("--latents", required=True)
-    p.add_argument("--method", choices=["pca", "tsne", "kpca", "spectral"])
-    _add_common(p)
+    p.add_argument("--method", choices=["pca", "tsne", "kpca", "spectral"],
+                   dest="project.method")
 
-    p = sub.add_parser("cluster", help="cluster an embedding")
+    p = stage("cluster", "cluster an embedding")
     p.add_argument("--embedding", required=True)
-    p.add_argument("--method", choices=["kmeans", "hierarchical", "dbscan"])
-    _add_common(p)
+    p.add_argument("--method", choices=["kmeans", "hierarchical", "dbscan"],
+                   dest="cluster.method")
 
-    p = sub.add_parser("score", help="match clusters to truth and score")
+    p = stage("score", "match clusters to truth and score")
     p.add_argument("--assignment", required=True)
     p.add_argument("--embedding", required=True)
-    _add_common(p)
 
-    p = sub.add_parser("plot", help="scatter-plot an embedding to SVG")
+    p = stage("plot", "scatter-plot an embedding to SVG")
     p.add_argument("--embedding", required=True)
-    _add_common(p)
     return parser
 
 
 def _resolve(args) -> dict:
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
+    # --seed, --epochs and --method store under their config keys
+    overrides = {key: value for key, value in vars(args).items()
+                 if key in cfgmod.DEFAULTS and value is not None}
     return cfgmod.resolve(args.preset, args.config, overrides)
 
 
@@ -91,11 +87,8 @@ ABNORMAL_PLAN = [(1, m) for m in (0.4, 0.6, 0.8, 1.0)] + \
 N_NORMAL = 14
 
 
-def cmd_generate(args) -> None:
-    cfg = _resolve(args)
+def cmd_generate(args, cfg: dict) -> None:
     os.makedirs(args.out, exist_ok=True)
-    seed = int(cfg["seed"])
-    n_steps = int(cfg["synth.n_steps"])
     ice_configs = [dataset.IceConfig()] * N_NORMAL
     for zone, mass in ABNORMAL_PLAN:
         masses = [0.0, 0.0, 0.0]
@@ -104,21 +97,21 @@ def cmd_generate(args) -> None:
     meta_lines = []
     for i, ice in enumerate(ice_configs):
         synth = dataset.SynthConfig(
-            rotation_hz=float(cfg["synth.rotation_hz"]),
-            sample_rate_hz=float(cfg["synth.sample_rate_hz"]),
-            harmonics=int(cfg["synth.harmonics"]),
-            noise_std=float(cfg["synth.noise_std"]),
-            seed=seed * 1000 + i)
-        record = dataset.synthesize(synth, ice, n_steps)
+            rotation_hz=cfg["synth.rotation_hz"],
+            sample_rate_hz=cfg["synth.sample_rate_hz"],
+            harmonics=cfg["synth.harmonics"],
+            noise_std=cfg["synth.noise_std"],
+            seed=cfg["seed"] * 1000 + i)
+        record = dataset.synthesize(synth, ice, cfg["synth.n_steps"])
         sim_id = f"sim_{i:03d}"
         record.sim_id = sim_id
         dataset.save_csv(record, os.path.join(args.out, f"{sim_id}.csv"))
         meta_lines.append(f"{sim_id},{ice}")
     meta_path = os.path.join(args.out, "metadata.csv")
-    with open(meta_path, "w", encoding="utf-8") as fh:
+    with artifacts.replacing(meta_path) as fh:
         fh.write("\n".join(meta_lines))
         fh.write("\n")
-    artifacts.write_manifest(meta_path, cfg, {}, seed)
+    artifacts.write_manifest(meta_path, cfg, {})
     print(f"wrote {len(ice_configs)} simulations to {args.out}")
 
 
@@ -129,20 +122,18 @@ def _load_records(data_dir, cfg):
     for sim_id in sorted(metadata):
         csv_path = os.path.join(data_dir, f"{sim_id}.csv")
         rec = dataset.load_csv(csv_path, metadata)
-        records.append(dataset.select_features(rec, list(cfg["prep.features"])))
+        records.append(dataset.select_features(rec, cfg["prep.features"]))
     return records
 
 
-def cmd_preprocess(args) -> None:
-    cfg = _resolve(args)
+def cmd_preprocess(args, cfg: dict) -> None:
     records = _load_records(args.data, cfg)
     if cfg["prep.classes"] == "two":
         records = [r for r in records if r.label() in (0, 1)]
-    windows = dataset.build_windows(records, int(cfg["prep.window_length"]),
-                                    int(cfg["prep.stride"]))
-    train_set, test_set = dataset.split(windows,
-                                        float(cfg["prep.train_fraction"]),
-                                        int(cfg["seed"]))
+    windows = dataset.build_windows(records, cfg["prep.window_length"],
+                                    cfg["prep.stride"])
+    train_set, test_set = dataset.split(windows, cfg["prep.train_fraction"],
+                                        cfg["seed"])
     scaler = dataset.fit_minmax([train_set.windows])
     train_set = dataset.scale_windows(train_set, scaler)
     test_set = dataset.scale_windows(test_set, scaler)
@@ -151,17 +142,12 @@ def cmd_preprocess(args) -> None:
         path = os.path.join(args.out, name)
         dataset.save_windows(part, path)
         artifacts.write_manifest(
-            path, cfg,
-            {"metadata": os.path.join(args.data, "metadata.csv")},
-            int(cfg["seed"]))
+            path, cfg, {"metadata": os.path.join(args.data, "metadata.csv")})
     print(f"preprocessed {len(windows)} windows -> "
           f"{len(train_set)} train / {len(test_set)} test")
 
 
-def cmd_train(args) -> None:
-    cfg = _resolve(args)
-    if args.epochs is not None:
-        cfg["vrae.epochs"] = args.epochs
+def cmd_train(args, cfg: dict) -> None:
     train_set = dataset.load_windows(args.train_data)
     val_set = dataset.load_windows(args.val_data) if args.val_data else None
     model_cfg = cfgmod.vrae_config(cfg, train_set.n_features)
@@ -170,14 +156,12 @@ def cmd_train(args) -> None:
     inputs = {"train_data": args.train_data}
     if args.val_data:
         inputs["val_data"] = args.val_data
-    artifacts.write_manifest(args.out, cfg, inputs, int(cfg["seed"]))
-    last = checkpoint.history["train_total"][-1] \
-        if checkpoint.history["train_total"] else float("nan")
-    print(f"trained {model_cfg.epochs} epochs; final train loss {last:.6f}")
+    artifacts.write_manifest(args.out, cfg, inputs)
+    print(f"trained {model_cfg.epochs} epochs; final train loss "
+          f"{checkpoint.history['train_total'][-1]:.6f}")
 
 
-def cmd_encode(args) -> None:
-    cfg = _resolve(args)
+def cmd_encode(args, cfg: dict) -> None:
     checkpoint = vrae.Checkpoint.load(args.checkpoint)
     data = dataset.load_windows(args.data)
     mus, labels = vrae.encode_dataset(checkpoint, data)
@@ -186,13 +170,12 @@ def cmd_encode(args) -> None:
                             {"mus": mus, "labels": labels})
     artifacts.write_manifest(args.out, cfg,
                              {"checkpoint": args.checkpoint,
-                              "data": args.data}, int(cfg["seed"]))
+                              "data": args.data})
     print(f"encoded {len(labels)} windows to {mus.shape[1]}-dim latents")
 
 
-def cmd_project(args) -> None:
-    cfg = _resolve(args)
-    method = args.method or cfg["project.method"]
+def cmd_project(args, cfg: dict) -> None:
+    method = cfg["project.method"]
     _, meta, arrays = artifacts.load_artifact(args.latents,
                                               expect_kind="latents")
     artifacts.require_keys(args.latents, meta, arrays, (), ("mus", "labels"))
@@ -206,48 +189,42 @@ def cmd_project(args) -> None:
     if method == "pca":
         emb = projection.pca(X, 2)
     elif method == "tsne":
-        emb = projection.tsne(X, perplexity=float(cfg["project.perplexity"]),
-                              iterations=int(cfg["project.iterations"]))
+        emb = projection.tsne(X, perplexity=cfg["project.perplexity"],
+                              iterations=cfg["project.iterations"])
     elif method == "kpca":
-        gamma = cfg["project.gamma"]
-        emb = projection.kernel_pca_rbf(
-            X, 2, float(gamma) if gamma is not None else None)
+        emb = projection.kernel_pca_rbf(X, 2, cfg["project.gamma"])
     elif method == "spectral":
         emb = projection.spectral_embedding(
-            X, k_neighbors=int(cfg["project.k_neighbors"]), dims=2)
+            X, k_neighbors=cfg["project.k_neighbors"], dims=2)
     else:
         raise DataError(f"unknown projection method {method!r}")
     emb.save(args.out, labels)
-    artifacts.write_manifest(args.out, cfg, {"latents": args.latents},
-                             int(cfg["seed"]))
+    artifacts.write_manifest(args.out, cfg, {"latents": args.latents})
     print(f"projected {len(labels)} points with {method}")
 
 
-def cmd_cluster(args) -> None:
-    cfg = _resolve(args)
-    method = args.method or cfg["cluster.method"]
+def cmd_cluster(args, cfg: dict) -> None:
+    method = cfg["cluster.method"]
     emb, labels = projection.Embedding.load(args.embedding)
     X = emb.points
-    k = int(cfg["cluster.k"])
+    k = cfg["cluster.k"]
     if method == "kmeans":
-        assignment = clustering.kmeans_pp(X, k, seed=int(cfg["seed"]))
+        assignment = clustering.kmeans_pp(X, k, seed=cfg["seed"])
     elif method == "hierarchical":
         assignment = clustering.hierarchical(X, k)
     elif method == "dbscan":
         eps = cfg["cluster.eps"]
-        eps = float(eps) if eps is not None else clustering.default_eps(X)
-        assignment = clustering.dbscan(X, eps,
-                                       min_pts=int(cfg["cluster.min_pts"]))
+        if eps is None:
+            eps = clustering.default_eps(X)
+        assignment = clustering.dbscan(X, eps, min_pts=cfg["cluster.min_pts"])
     else:
         raise DataError(f"unknown clustering method {method!r}")
     assignment.save(args.out)
-    artifacts.write_manifest(args.out, cfg, {"embedding": args.embedding},
-                             int(cfg["seed"]))
+    artifacts.write_manifest(args.out, cfg, {"embedding": args.embedding})
     print(f"{method}: {assignment.n_clusters} clusters")
 
 
-def cmd_score(args) -> None:
-    cfg = _resolve(args)
+def cmd_score(args, cfg: dict) -> None:
     assignment = clustering.ClusterAssignment.load(args.assignment)
     emb, labels = projection.Embedding.load(args.embedding)
     if labels is None:
@@ -256,17 +233,17 @@ def cmd_score(args) -> None:
     report = scoring.score_assignment(assignment, labels, emb.points)
     os.makedirs(args.out, exist_ok=True)
     json_path = os.path.join(args.out, "report.json")
-    with open(json_path, "w", encoding="utf-8") as fh:
+    with artifacts.replacing(json_path) as fh:
         fh.write(report.to_json())
-    with open(os.path.join(args.out, "report.txt"), "w", encoding="utf-8") as fh:
+    with artifacts.replacing(os.path.join(args.out, "report.txt")) as fh:
         fh.write(report.render_table())
     artifacts.write_manifest(json_path, cfg,
                              {"assignment": args.assignment,
-                              "embedding": args.embedding}, int(cfg["seed"]))
+                              "embedding": args.embedding})
     print(report.render_table())
 
 
-def cmd_plot(args) -> None:
+def cmd_plot(args, cfg: dict) -> None:
     emb, labels = projection.Embedding.load(args.embedding)
     if labels is None:
         labels = np.zeros(len(emb.points), dtype=np.int64)
@@ -293,7 +270,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     try:
-        _COMMANDS[args.command](args)
+        _COMMANDS[args.command](args, _resolve(args))
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -106,13 +106,14 @@ def resolve(preset: str | None = None, config_file=None,
             overrides: dict | None = None) -> dict:
     """Defaults <- preset <- config file <- explicit overrides.
 
-    Every key whose default is a number must convert to that type, so
-    the int()/float() conversions of the stages cannot fail, and must
-    not be a bool; an int key must not hold a fraction, which int()
+    Every key whose default is a number must convert to that type and
+    must not be a bool; an int key must not hold a fraction, which int()
     would truncate, and a float key must be finite. A key whose default
     is None holds None or a finite number float() accepts, prep.classes
-    is "two" or "multi", and prep.features is a list of names. Values
-    are checked, never rewritten.
+    is "two" or "multi", and prep.features is a list of names. Numbers
+    are returned converted: an int or float key holds its default's
+    type, a None-default key None or a float, so stages read them with
+    no cast and manifests record what the stage used.
     """
     cfg = dict(DEFAULTS)
     if preset is not None:
@@ -146,6 +147,7 @@ def resolve(preset: str | None = None, config_file=None,
                             else kind.__name__)
                 raise DataError(f"config key {key!r}: expected "
                                 f"{expected}, got {value!r}") from None
+            cfg[key] = number
     if cfg["prep.classes"] not in ("two", "multi"):
         raise DataError(f"config key 'prep.classes': expected \"two\" or "
                         f"\"multi\", got {cfg['prep.classes']!r}")
@@ -159,16 +161,16 @@ def resolve(preset: str | None = None, config_file=None,
 
 def vrae_config(cfg: dict, input_dim: int) -> VraeConfig:
     anneal = AnnealSchedule(mode=cfg["vrae.anneal_mode"],
-                            cycles=int(cfg["vrae.anneal_cycles"]),
-                            ramp_fraction=float(cfg["vrae.anneal_ramp"]),
-                            beta_max=float(cfg["vrae.beta_max"]))
+                            cycles=cfg["vrae.anneal_cycles"],
+                            ramp_fraction=cfg["vrae.anneal_ramp"],
+                            beta_max=cfg["vrae.beta_max"])
     return VraeConfig(input_dim=input_dim,
-                      hidden_units=int(cfg["vrae.hidden_units"]),
-                      latent_dim=int(cfg["vrae.latent_dim"]),
-                      learning_rate=float(cfg["vrae.learning_rate"]),
-                      dropout_rate=float(cfg["vrae.dropout_rate"]),
-                      clip_norm=float(cfg["vrae.clip_norm"]),
-                      batch_size=int(cfg["vrae.batch_size"]),
-                      epochs=int(cfg["vrae.epochs"]),
+                      hidden_units=cfg["vrae.hidden_units"],
+                      latent_dim=cfg["vrae.latent_dim"],
+                      learning_rate=cfg["vrae.learning_rate"],
+                      dropout_rate=cfg["vrae.dropout_rate"],
+                      clip_norm=cfg["vrae.clip_norm"],
+                      batch_size=cfg["vrae.batch_size"],
+                      epochs=cfg["vrae.epochs"],
                       anneal=anneal,
-                      seed=int(cfg["seed"]))
+                      seed=cfg["seed"])

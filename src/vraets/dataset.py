@@ -2,8 +2,8 @@
 
 Covers CSV loading with an ice-mass metadata sidecar, a synthetic
 three-blade vibration generator that stands in for an aeroelastic
-simulator, MinMax scaling to [-1, 1], fixed-length windowing, stratified
-splitting, and per-class balancing.
+simulator, MinMax scaling to [-1, 1], fixed-length windowing, and
+stratified splitting.
 """
 
 from __future__ import annotations
@@ -356,7 +356,7 @@ def _is_float(cell: str) -> bool:
 
 
 def save_csv(record: TimeSeriesRecord, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with artifacts.replacing(path) as fh:
         csv.writer(fh).writerow(record.feature_names)
         # the rows csv.writer would write: repr of a finite float needs no quotes
         fh.writelines(",".join(map(repr, row)) + "\r\n"

@@ -55,7 +55,10 @@ class Embedding:
         artifacts.require_keys(path, meta, arrays,
                                ("method", "params", "source_dim"), ("points",))
         points, labels = arrays["points"], arrays.get("labels")
-        source_dim = meta["source_dim"]
+        method, source_dim = meta["method"], meta["source_dim"]
+        if type(method) is not str:
+            raise DataError(f"{path}: method must be a string, got "
+                            f"{method!r}")
         if type(source_dim) is not int:
             raise DataError(f"{path}: source_dim must be an integer, got "
                             f"{source_dim!r}")
@@ -65,7 +68,7 @@ class Embedding:
         if labels is not None and labels.shape != (points.shape[0],):
             raise DataError(f"{path}: labels have shape {labels.shape} for "
                             f"{points.shape[0]} points")
-        return cls(points, meta["method"], meta["params"], source_dim), labels
+        return cls(points, method, meta["params"], source_dim), labels
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -273,7 +276,7 @@ def tsne(X: np.ndarray, perplexity: float = 30.0, iterations: int = 1000
     return Embedding(Y, "tsne",
                      {"perplexity": perplexity, "iterations": iterations,
                       "learning_rate": TSNE_LEARNING_RATE},
-                     X.shape[1], extras={"kl_trace": kl_trace, "P": P})
+                     X.shape[1], extras={"kl_trace": kl_trace})
 
 
 def spectral_embedding(X: np.ndarray, k_neighbors: int = 10, dims: int = 2

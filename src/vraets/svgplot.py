@@ -7,8 +7,11 @@ produce byte-identical files.
 
 from __future__ import annotations
 
+import html
+
 import numpy as np
 
+from vraets import artifacts
 from vraets.errors import DataError
 
 CLASS_COLORS = {0: "#d62728", 1: "#1f77b4", 2: "#2ca02c", 3: "#000000"}
@@ -45,6 +48,7 @@ def scatter_svg(points: np.ndarray, labels: np.ndarray, method: str,
         raise DataError(f"scatter_svg: {len(points)} points but "
                         f"{len(labels)} labels")
 
+    method = html.escape(method, quote=False)
     lo = points.min(axis=0)
     hi = points.max(axis=0)
     span = np.where(hi - lo > 0, hi - lo, 1.0)
@@ -77,6 +81,6 @@ def scatter_svg(points: np.ndarray, labels: np.ndarray, method: str,
                      f'<text x="{WIDTH - MARGIN - 74}" y="{y}" '
                      f'font-size="12">{_name(int(cls))}</text></g>')
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
+    with artifacts.replacing(path) as fh:
         fh.write("\n".join(parts))
         fh.write("\n")

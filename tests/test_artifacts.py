@@ -2,12 +2,14 @@
 corruption handling."""
 
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vraets import artifacts
+from vraets import artifacts, dataset
 from vraets.errors import DataError
 
 
@@ -245,12 +247,12 @@ class TestManifest:
         artifacts.save_artifact(art, "k", {}, {"a": np.ones(3)})
         inp = tmp_path / "input.bin"
         inp.write_bytes(b"hello")
-        man_path = artifacts.write_manifest(art, {"key": 1},
-                                            {"input": str(inp)}, 42)
+        man_path = artifacts.write_manifest(art, {"key": 1, "seed": 42},
+                                            {"input": str(inp)})
         manifest = json.loads(open(man_path).read())
         assert manifest["artifact"] == "x.artifact"
         assert manifest["seed"] == 42
-        assert manifest["config"] == {"key": 1}
+        assert manifest["config"] == {"key": 1, "seed": 42}
         assert manifest["input_hashes"]["input"] \
             == artifacts.sha256_file(str(inp))
 
@@ -260,3 +262,72 @@ class TestManifest:
         # FIPS 180-2 test vector for "abc"
         assert artifacts.sha256_file(str(f)) == (
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad")
+
+
+class _FailingFile:
+    """A file whose second write raises: the first lands, as when a
+    writer is interrupted part-way."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes > 1:
+            raise OSError("interrupted")
+        return self.fh.write(data)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def _save_artifact(path, value):
+    artifacts.save_artifact(path, "k", {}, {"a": np.full(4, value)})
+
+
+def _save_csv(path, value):
+    dataset.save_csv(dataset.TimeSeriesRecord(
+        "sim", dataset.IceConfig(), np.full((3, 2), value), ["x", "y"]), path)
+
+
+class TestInterruptedWrite:
+    """A write that fails part-way leaves the previous file or none, and
+    no temporary file."""
+
+    @pytest.mark.parametrize("save", [_save_artifact, _save_csv],
+                             ids=["artifact", "csv"])
+    @pytest.mark.parametrize("previous", [True, False],
+                             ids=["replace", "new"])
+    def test_target_keeps_previous_file_or_none(self, tmp_path, monkeypatch,
+                                                save, previous):
+        path = tmp_path / "target"
+        if previous:
+            save(path, 1.0)
+            before = path.read_bytes()
+        monkeypatch.setattr(artifacts, "open",
+                            lambda *a, **kw: _FailingFile(open(*a, **kw)),
+                            raising=False)
+        with pytest.raises(OSError, match="interrupted"):
+            save(path, 2.0)
+        if previous:
+            assert path.read_bytes() == before
+            assert os.listdir(tmp_path) == ["target"]
+        else:
+            assert os.listdir(tmp_path) == []
+
+    def test_completed_write_follows_the_umask(self, tmp_path):
+        umask = os.umask(0o027)
+        try:
+            artifacts.write_manifest(tmp_path / "x", {"seed": 1}, {})
+        finally:
+            os.umask(umask)
+        assert os.listdir(tmp_path) == ["x.manifest.json"]
+        mode = os.stat(tmp_path / "x.manifest.json").st_mode
+        assert stat.S_IMODE(mode) == 0o640

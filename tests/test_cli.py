@@ -7,11 +7,12 @@ import shutil
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from xml.dom import minidom
 
 import numpy as np
 import pytest
 
-from vraets import artifacts, cli, dataset
+from vraets import artifacts, cli, clustering, dataset, projection, vrae
 from vraets.cli import main
 
 
@@ -112,6 +113,15 @@ class TestPipelineStages:
         assert len(circles) >= len(emb_labels["labels"])
         assert root.findall(".//s:g[@class='legend-entry']", ns)
 
+    def test_svg_escapes_method_text(self, tmp_path):
+        emb = str(tmp_path / "emb")
+        projection.Embedding(np.arange(8.0).reshape(4, 2), "a<b & c").save(
+            emb, np.array([0, 1, 0, 1]))
+        svg = str(tmp_path / "plot.svg")
+        assert main(["plot", "--embedding", emb, "--out", svg]) == 0
+        title = minidom.parse(svg).getElementsByTagName("text")[0]
+        assert title.firstChild.data == "a<b & c"
+
     def test_project_other_methods(self, pipeline_dir, mini_config, tmp_path):
         common = ["--config", mini_config, "--seed", "11"]
         for method in ("tsne", "kpca", "spectral"):
@@ -132,6 +142,72 @@ class TestPipelineStages:
             assert main(["cluster", *common,
                          "--embedding", pipeline_dir["embedding"],
                          "--method", method, "--out", out]) == 0
+
+
+def _manifest_config(path):
+    with open(path + ".manifest.json", encoding="utf-8") as fh:
+        return json.load(fh)["config"]
+
+
+class TestManifestConfig:
+    """A manifest's config holds the values its stage ran with, so a rerun
+    from it repeats the run, whichever flag set them."""
+
+    def test_method_overrides_are_recorded(self, pipeline_dir, mini_config,
+                                           tmp_path):
+        common = ["--config", mini_config, "--seed", "11"]
+        emb, assign = str(tmp_path / "emb"), str(tmp_path / "assign")
+        assert main(["project", *common, "--latents", pipeline_dir["latents"],
+                     "--method", "kpca", "--out", emb]) == 0
+        assert main(["cluster", *common, "--embedding", emb,
+                     "--method", "dbscan", "--out", assign]) == 0
+        assert projection.Embedding.load(emb)[0].method == "kernel_pca_rbf"
+        assert _manifest_config(emb)["project.method"] == "kpca"
+        assert clustering.ClusterAssignment.load(assign).method == "dbscan"
+        assert _manifest_config(assign)["cluster.method"] == "dbscan"
+
+    def test_epochs_override_is_recorded(self, pipeline_dir, mini_config,
+                                         tmp_path):
+        # the config file says 2 epochs; --epochs wins and is recorded
+        ckpt = str(tmp_path / "model.ckpt")
+        assert main(["train", "--config", mini_config, "--seed", "11",
+                     "--epochs", "1", "--train-data",
+                     os.path.join(pipeline_dir["prep"], "train.windows"),
+                     "--out", ckpt]) == 0
+        assert vrae.Checkpoint.load(ckpt).config.epochs == 1
+        assert _manifest_config(ckpt)["vrae.epochs"] == 1
+
+
+def test_every_config_key_is_read(mini_config, tmp_path, monkeypatch):
+    # a key that no stage reads is a setting that silently does nothing
+    read = set()
+    resolve = cli.cfgmod.resolve
+
+    class Recording(dict):
+        def __getitem__(self, key):
+            read.add(key)
+            return super().__getitem__(key)
+
+    monkeypatch.setattr(cli.cfgmod, "resolve",
+                        lambda *a, **kw: Recording(resolve(*a, **kw)))
+    d = {k: str(tmp_path / k) for k in ("data", "prep", "ckpt", "latents")}
+
+    def run(*argv):
+        assert main([*argv, "--config", mini_config, "--seed", "11"]) == 0
+
+    run("generate", "--out", d["data"])
+    run("preprocess", "--data", d["data"], "--out", d["prep"])
+    run("train", "--train-data", os.path.join(d["prep"], "train.windows"),
+        "--out", d["ckpt"])
+    run("encode", "--checkpoint", d["ckpt"], "--out", d["latents"],
+        "--data", os.path.join(d["prep"], "test.windows"))
+    for method in ("pca", "tsne", "kpca", "spectral"):
+        run("project", "--latents", d["latents"], "--method", method,
+            "--out", str(tmp_path / f"emb_{method}"))
+    for method in ("kmeans", "hierarchical", "dbscan"):
+        run("cluster", "--embedding", str(tmp_path / "emb_pca"),
+            "--method", method, "--out", str(tmp_path / f"assign_{method}"))
+    assert sorted(set(cli.cfgmod.DEFAULTS) - read) == []
 
 
 class TestDeterminism:
@@ -431,6 +507,17 @@ class TestExitCodes:
                      "--out", str(tmp_path / "out")])
         assert code == 2
         assert message in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["bad"]
+
+    def test_embedding_non_string_method_is_2(self, pipeline_dir, tmp_path,
+                                              capsys):
+        kind, meta, arrays = artifacts.load_artifact(pipeline_dir["embedding"])
+        bad = str(tmp_path / "bad")
+        artifacts.save_artifact(bad, kind, {**meta, "method": [1, 2]}, arrays)
+        code = main(["plot", "--embedding", bad,
+                     "--out", str(tmp_path / "plot.svg")])
+        assert code == 2
+        assert "method must be a string" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["bad"]
 
     def test_unknown_preset_rejected_by_argparse(self):

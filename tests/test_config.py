@@ -49,3 +49,18 @@ def test_arbitrary_text_raises_only_data_error(tmp_path, text):
     except DataError:
         return
     assert set(overrides) <= set(config.DEFAULTS)
+
+
+def test_resolve_returns_values_of_the_default_type():
+    cfg = config.resolve(overrides={"vrae.epochs": 3.0,
+                                    "vrae.learning_rate": 1,
+                                    "project.gamma": 2,
+                                    "cluster.eps": None})
+    assert type(cfg["vrae.epochs"]) is int and cfg["vrae.epochs"] == 3
+    assert type(cfg["vrae.learning_rate"]) is float
+    assert cfg["vrae.learning_rate"] == 1.0
+    assert type(cfg["project.gamma"]) is float and cfg["project.gamma"] == 2.0
+    assert cfg["cluster.eps"] is None
+    for key, default in config.DEFAULTS.items():
+        if isinstance(default, (int, float)):
+            assert type(cfg[key]) is type(default), key
