@@ -70,12 +70,34 @@ def replacing(path, binary: bool = False):
         raise
 
 
-def load_artifact(path, expect_kind: str | None = None):
+# what a metadata value must be, named as the error message names it;
+# JSON gives bools for true/false, so type() keeps them out of the integers
+_KINDS = {
+    "any value": lambda v: True,
+    "an integer": lambda v: type(v) is int,
+    "an integer >= 0": lambda v: type(v) is int and v >= 0,
+    "an integer >= 1": lambda v: type(v) is int and v >= 1,
+    "a string": lambda v: type(v) is str,
+    "a list of strings": lambda v: type(v) is list and all(
+        type(s) is str for s in v),
+    "an object": lambda v: type(v) is dict,
+    "an object of number lists": lambda v: type(v) is dict and all(
+        type(ls) is list and all(type(e) in (int, float) for e in ls)
+        for ls in v.values()),
+}
+
+
+def load_artifact(path, expect_kind: str | None = None,
+                  fields: dict[str, str] | None = None,
+                  arrays: dict[str, int] | None = None,
+                  optional: dict[str, int] | None = None):
     """Returns (kind, meta, arrays). Validates magic, version, header
-    fields and shapes, and that the arrays fill the file exactly."""
-    if not os.path.exists(path):
-        raise DataError(f"missing artifact: {path}")
-    with open(path, "rb") as fh:
+    fields and shapes, and that the arrays fill the file exactly; then
+    what the reader declares: each metadata key in `fields` present and
+    of its kind (a key of _KINDS), each array in `arrays` present with
+    its rank, and the `optional` arrays all present with their ranks or
+    all absent. Every missing key and array is named at once."""
+    with _open(path, "artifact") as fh:
         line = fh.readline()
         try:
             header = json.loads(line.decode("utf-8"))
@@ -94,33 +116,54 @@ def load_artifact(path, expect_kind: str | None = None):
             raise DataError(f"{path}: header needs a string 'kind', an object "
                             f"'meta' and a list 'arrays'")
         remaining = os.fstat(fh.fileno()).st_size - fh.tell()
-        arrays = {}
+        loaded = {}
         for ent in entries:
             name, dtype, shape = _parse_entry(path, ent)
-            if name in arrays:
+            if name in loaded:
                 raise DataError(f"{path}: duplicate array name {name!r}")
             nbytes = math.prod(shape) * dtype.itemsize
             if nbytes > remaining:
                 raise DataError(f"{path}: truncated array {name!r}")
             buf = fh.read(nbytes)
             remaining -= nbytes
-            arrays[name] = np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
+            loaded[name] = np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
         if remaining:
             raise DataError(f"{path}: {remaining} trailing bytes after the "
                             f"last array")
     if expect_kind is not None and kind != expect_kind:
         raise DataError(f"{path}: expected {expect_kind!r} artifact, found {kind!r}")
-    return kind, meta, arrays
-
-
-def require_keys(path, meta: dict, arrays: dict, meta_keys=(),
-                 array_names=()) -> None:
-    """DataError naming each metadata key and array that a reader needs
-    and the artifact lacks; load_artifact only checks the format."""
-    missing = [f"meta key {k!r}" for k in meta_keys if k not in meta]
-    missing += [f"array {a!r}" for a in array_names if a not in arrays]
+    fields, ranks = fields or {}, dict(arrays or {})
+    if optional and not optional.keys().isdisjoint(loaded):
+        ranks.update(optional)
+    missing = [f"meta key {k!r}" for k in fields if k not in meta]
+    missing += [f"array {a!r}" for a in ranks if a not in loaded]
     if missing:
         raise DataError(f"{path}: missing {', '.join(missing)}")
+    for key, what in fields.items():
+        if not _KINDS[what](meta[key]):
+            raise DataError(f"{path}: {key} must be {what}, got {meta[key]!r}")
+    for name, rank in ranks.items():
+        if loaded[name].ndim != rank:
+            raise DataError(f"{path}: {name} must be {rank}-D, got shape "
+                            f"{loaded[name].shape}")
+    return kind, meta, loaded
+
+
+def read_text(path, what: str) -> str:
+    """The whole of a UTF-8 text input, line endings untouched
+    (newline=""); `what` names the input when it does not exist."""
+    with _open(path, what, "r", encoding="utf-8", newline="") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def _open(path, what: str, mode: str = "rb", **kwargs):
+    try:
+        return open(path, mode, **kwargs)
+    except FileNotFoundError:
+        raise DataError(f"missing {what}: {path}") from None
 
 
 def _parse_entry(path, ent) -> tuple[str, np.dtype, tuple[int, ...]]:

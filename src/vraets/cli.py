@@ -7,7 +7,8 @@ so the pipeline can be resumed from any stage:
     generate -> preprocess -> train -> encode -> project -> cluster
     -> score, with plot available on any embedding artifact.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
+Exit codes: 0 success, 1 usage error, 2 data error or a path that
+cannot be read or written, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -176,13 +177,9 @@ def cmd_encode(args, cfg: dict) -> None:
 
 def cmd_project(args, cfg: dict) -> None:
     method = cfg["project.method"]
-    _, meta, arrays = artifacts.load_artifact(args.latents,
-                                              expect_kind="latents")
-    artifacts.require_keys(args.latents, meta, arrays, (), ("mus", "labels"))
+    _, _, arrays = artifacts.load_artifact(args.latents, "latents",
+                                           arrays={"mus": 2, "labels": 1})
     X, labels = arrays["mus"], arrays["labels"]
-    if X.ndim != 2:
-        raise DataError(f"{args.latents}: mus must be 2-D, got shape "
-                        f"{X.shape}")
     if labels.shape != (X.shape[0],):
         raise DataError(f"{args.latents}: labels have shape {labels.shape} "
                         f"for {X.shape[0]} rows of mus")
@@ -274,7 +271,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (DataError, PipelineError) as exc:
+    except (OSError, PipelineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

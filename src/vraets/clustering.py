@@ -50,19 +50,15 @@ class ClusterAssignment:
 
     @classmethod
     def load(cls, path) -> "ClusterAssignment":
-        _, meta, arrays = artifacts.load_artifact(path, expect_kind="assignment")
-        artifacts.require_keys(path, meta, arrays, ("method", "params"),
-                               ("labels",))
+        _, meta, arrays = artifacts.load_artifact(
+            path, "assignment",
+            fields={"method": "a string", "params": "an object"},
+            arrays={"labels": 1}, optional={"centroids": 2})
         labels, centroids = arrays["labels"], arrays.get("centroids")
-        if centroids is not None:
-            if centroids.ndim != 2:
-                raise DataError(f"{path}: centroids must be 2-D, got shape "
-                                f"{centroids.shape}")
-            top = int(labels.max(initial=-1))
-            if centroids.shape[0] <= top:
-                raise DataError(f"{path}: centroids have "
-                                f"{centroids.shape[0]} rows for cluster id "
-                                f"{top}")
+        top = int(labels.max(initial=-1))
+        if centroids is not None and centroids.shape[0] <= top:
+            raise DataError(f"{path}: centroids have {centroids.shape[0]} "
+                            f"rows for cluster id {top}")
         return cls(labels, meta["method"], meta["params"], centroids,
                    meta.get("inertia"))
 

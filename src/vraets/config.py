@@ -8,10 +8,11 @@ strings otherwise.
 
 from __future__ import annotations
 
+import io
 import json
 import math
-import os
 
+from vraets.artifacts import read_text
 from vraets.dataset import FEATURE_NAMES
 from vraets.errors import DataError
 from vraets.vrae import AnnealSchedule, VraeConfig
@@ -75,30 +76,25 @@ PRESETS: dict[str, dict] = {
 
 
 def parse_config_file(path) -> dict:
-    if not os.path.exists(path):
-        raise DataError(f"missing config file: {path}")
+    text = read_text(path, "config file")
     overrides = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise DataError(f"{path}:{lineno}: expected 'key = value'")
-                key, value = (part.strip() for part in line.split("=", 1))
-                if key not in DEFAULTS:
-                    raise DataError(f"{path}:{lineno}: unknown key {key!r}")
-                try:
-                    overrides[key] = json.loads(value)
-                except ValueError:
-                    # not JSON, or an integer past Python's digit limit
-                    overrides[key] = value
-                except RecursionError:
-                    raise DataError(f"{path}:{lineno}: value of {key!r} "
-                                    f"is nested too deeply") from None
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise DataError(f"{path}:{lineno}: expected 'key = value'")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in DEFAULTS:
+            raise DataError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            overrides[key] = json.loads(value)
+        except ValueError:
+            # not JSON, or an integer past Python's digit limit
+            overrides[key] = value
+        except RecursionError:
+            raise DataError(f"{path}:{lineno}: value of {key!r} "
+                            f"is nested too deeply") from None
     return overrides
 
 
@@ -108,12 +104,13 @@ def resolve(preset: str | None = None, config_file=None,
 
     Every key whose default is a number must convert to that type and
     must not be a bool; an int key must not hold a fraction, which int()
-    would truncate, and a float key must be finite. A key whose default
-    is None holds None or a finite number float() accepts, prep.classes
-    is "two" or "multi", and prep.features is a list of names. Numbers
-    are returned converted: an int or float key holds its default's
-    type, a None-default key None or a float, so stages read them with
-    no cast and manifests record what the stage used.
+    would truncate, and a float key must be finite. The seed is >= 0, a
+    key whose default is None holds None or a finite number float()
+    accepts, prep.classes is "two" or "multi", and prep.features is a
+    list of names. Numbers are returned converted: an int or float key
+    holds its default's type, a None-default key None or a float, so
+    stages read them with no cast and manifests record what the stage
+    used.
     """
     cfg = dict(DEFAULTS)
     if preset is not None:
@@ -148,6 +145,10 @@ def resolve(preset: str | None = None, config_file=None,
                 raise DataError(f"config key {key!r}: expected "
                                 f"{expected}, got {value!r}") from None
             cfg[key] = number
+    if cfg["seed"] < 0:
+        # numpy's SeedSequence takes no negative seed
+        raise DataError(f"config key 'seed': expected an int >= 0, got "
+                        f"{cfg['seed']!r}")
     if cfg["prep.classes"] not in ("two", "multi"):
         raise DataError(f"config key 'prep.classes': expected \"two\" or "
                         f"\"multi\", got {cfg['prep.classes']!r}")

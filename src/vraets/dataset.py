@@ -237,27 +237,22 @@ def synthesize(config: SynthConfig, ice: IceConfig, n_steps: int) -> TimeSeriesR
 
 def read_metadata(path) -> dict[str, IceConfig]:
     """Sidecar format: one `sim_id,x-y-z` line per simulation."""
-    if not os.path.exists(path):
-        raise DataError(f"missing metadata sidecar: {path}")
+    text = artifacts.read_text(path, "metadata sidecar")
     table, first_line = {}, {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split(",")
-                if len(parts) != 2:
-                    raise DataError(f"{path}:{lineno}: expected 'sim_id,x-y-z'")
-                sim_id = parts[0].strip()
-                if sim_id in table:
-                    raise DataError(f"{path}:{lineno}: duplicate sim_id "
-                                    f"{sim_id!r}, first on line "
-                                    f"{first_line[sim_id]}")
-                table[sim_id] = IceConfig.parse(parts[1])
-                first_line[sim_id] = lineno
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise DataError(f"{path}:{lineno}: expected 'sim_id,x-y-z'")
+        sim_id = parts[0].strip()
+        if sim_id in table:
+            raise DataError(f"{path}:{lineno}: duplicate sim_id "
+                            f"{sim_id!r}, first on line "
+                            f"{first_line[sim_id]}")
+        table[sim_id] = IceConfig.parse(parts[1])
+        first_line[sim_id] = lineno
     return table
 
 
@@ -271,8 +266,7 @@ def load_csv(path, metadata: dict[str, IceConfig] | str | None = None
     csv.reader + float() parse of each cell, and by that parse otherwise,
     so every file gives the values and the DataError that parse gives.
     """
-    if not os.path.exists(path):
-        raise DataError(f"missing CSV file: {path}")
+    text = artifacts.read_text(path, "CSV file")
     if metadata is None:
         metadata = os.path.join(os.path.dirname(str(path)), "metadata.csv")
     if not isinstance(metadata, dict):
@@ -281,11 +275,6 @@ def load_csv(path, metadata: dict[str, IceConfig] | str | None = None
     if sim_id not in metadata:
         raise DataError(f"{path}: sim_id {sim_id!r} missing from metadata sidecar")
 
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
     lines = io.StringIO(text, newline="")
     try:
         names = next(csv.reader(lines), None)
@@ -471,24 +460,16 @@ def save_windows(dataset: WindowedDataset, path) -> None:
 
 
 def load_windows(path) -> WindowedDataset:
-    _, meta, arrays = artifacts.load_artifact(path, expect_kind="windows")
-    scaler_names = ("scaler_mins", "scaler_maxs")
-    scaled = any(name in arrays for name in scaler_names)
-    artifacts.require_keys(path, meta, arrays,
-                           ("window_length", "stride", "feature_names"),
-                           ("windows", "labels") + (scaler_names if scaled
-                                                    else ()))
-    for key in ("window_length", "stride"):
-        if type(meta[key]) is not int or meta[key] < 1:
-            raise DataError(f"{path}: {key} must be an integer >= 1, got "
-                            f"{meta[key]!r}")
-    names = meta["feature_names"]
-    if type(names) is not list or not all(type(n) is str for n in names):
-        raise DataError(f"{path}: feature_names must be a list of strings, "
-                        f"got {names!r}")
+    _, meta, arrays = artifacts.load_artifact(
+        path, "windows",
+        fields={"window_length": "an integer >= 1",
+                "stride": "an integer >= 1",
+                "feature_names": "a list of strings"},
+        arrays={"windows": 3, "labels": 1},
+        optional={"scaler_mins": 1, "scaler_maxs": 1})
     scaler = None
-    if scaled:
+    if "scaler_mins" in arrays:
         scaler = MinMaxScaler(arrays["scaler_mins"], arrays["scaler_maxs"])
     return WindowedDataset(arrays["windows"], arrays["labels"],
-                           meta["window_length"], meta["stride"], names,
-                           scaler)
+                           meta["window_length"], meta["stride"],
+                           meta["feature_names"], scaler)

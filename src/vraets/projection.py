@@ -51,24 +51,17 @@ class Embedding:
 
     @classmethod
     def load(cls, path) -> tuple["Embedding", np.ndarray | None]:
-        _, meta, arrays = artifacts.load_artifact(path, expect_kind="embedding")
-        artifacts.require_keys(path, meta, arrays,
-                               ("method", "params", "source_dim"), ("points",))
+        _, meta, arrays = artifacts.load_artifact(
+            path, "embedding",
+            fields={"method": "a string", "params": "an object",
+                    "source_dim": "an integer"},
+            arrays={"points": 2}, optional={"labels": 1})
         points, labels = arrays["points"], arrays.get("labels")
-        method, source_dim = meta["method"], meta["source_dim"]
-        if type(method) is not str:
-            raise DataError(f"{path}: method must be a string, got "
-                            f"{method!r}")
-        if type(source_dim) is not int:
-            raise DataError(f"{path}: source_dim must be an integer, got "
-                            f"{source_dim!r}")
-        if points.ndim != 2:
-            raise DataError(f"{path}: points must be 2-D, got shape "
-                            f"{points.shape}")
         if labels is not None and labels.shape != (points.shape[0],):
             raise DataError(f"{path}: labels have shape {labels.shape} for "
                             f"{points.shape[0]} points")
-        return cls(points, method, meta["params"], source_dim), labels
+        return cls(points, meta["method"], meta["params"],
+                   meta["source_dim"]), labels
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:

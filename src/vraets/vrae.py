@@ -16,6 +16,7 @@ suite. Everything is float64 numpy and deterministic under a seed.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass, field, asdict
 
@@ -32,6 +33,15 @@ from vraets.numerics import (AdamState, SeededRng, adam_step, clip_global_norm,
 SIGMA_FLOOR = 1e-6
 
 
+def _require_ints(obj, *names: str) -> None:
+    """An int field holds an integer: 2.5 would run, and 3.0 would fail
+    deep in numpy; a bool is not one."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise DataError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass
 class AnnealSchedule:
     """KL weight schedule: constant beta_max or cyclical 0 -> beta_max ramps."""
@@ -42,6 +52,7 @@ class AnnealSchedule:
     beta_max: float = 1.0
 
     def __post_init__(self):
+        _require_ints(self, "cycles")
         if self.mode not in ("constant", "cyclical"):
             raise DataError(f"unknown anneal mode {self.mode!r}")
         if not 0.0 < self.ramp_fraction <= 1.0:
@@ -79,6 +90,8 @@ class VraeConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _require_ints(self, "input_dim", "hidden_units", "latent_dim",
+                      "batch_size", "epochs", "seed")
         if min(self.input_dim, self.hidden_units, self.latent_dim) < 1:
             raise DataError("all model dimensions must be >= 1")
         if not 0.0 <= self.dropout_rate < 1.0:
@@ -100,30 +113,31 @@ class VraeConfig:
         return cls(**d)
 
 
-def init_weights(config: VraeConfig, rng: SeededRng) -> dict[str, np.ndarray]:
-    """Uniform +-1/sqrt(fan_in) init; forget-gate biases start at 1.0."""
+def param_shapes(config: VraeConfig) -> dict[str, tuple[int, ...]]:
+    """Shape of each parameter; a weight's fan-in is its first axis."""
     d, h, z = config.input_dim, config.hidden_units, config.latent_dim
-
-    def uni(fan_in, shape):
-        lim = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-lim, lim, shape)
-
-    params = {
-        "enc_W": uni(d + h, (d + h, 4 * h)),
-        "enc_b": np.zeros(4 * h),
-        "mu_W": uni(h, (h, z)),
-        "mu_b": np.zeros(z),
-        "sig_W": uni(h, (h, z)),
-        "sig_b": np.zeros(z),
-        "zh_W": uni(z, (z, h)),
-        "zh_b": np.zeros(h),
-        "zc_W": uni(z, (z, h)),
-        "zc_b": np.zeros(h),
-        "dec_W": uni(h, (h, 4 * h)),
-        "dec_b": np.zeros(4 * h),
-        "out_W": uni(h, (h, d)),
-        "out_b": np.zeros(d),
+    return {
+        "enc_W": (d + h, 4 * h), "enc_b": (4 * h,),
+        "mu_W": (h, z), "mu_b": (z,),
+        "sig_W": (h, z), "sig_b": (z,),
+        "zh_W": (z, h), "zh_b": (h,),
+        "zc_W": (z, h), "zc_b": (h,),
+        "dec_W": (h, 4 * h), "dec_b": (4 * h,),
+        "out_W": (h, d), "out_b": (d,),
     }
+
+
+def init_weights(config: VraeConfig, rng: SeededRng) -> dict[str, np.ndarray]:
+    """Uniform +-1/sqrt(fan_in) weights, drawn in param_shapes order;
+    zero biases, except forget-gate biases, which start at 1.0."""
+    params = {}
+    for name, shape in param_shapes(config).items():
+        if name.endswith("_b"):
+            params[name] = np.zeros(shape)
+        else:
+            lim = 1.0 / np.sqrt(shape[0])
+            params[name] = rng.uniform(-lim, lim, shape)
+    h = config.hidden_units
     params["enc_b"][h:2 * h] = 1.0
     params["dec_b"][h:2 * h] = 1.0
     return params
@@ -334,46 +348,40 @@ class Checkpoint:
 
     @classmethod
     def load(cls, path) -> "Checkpoint":
-        _, meta, arrays = artifacts.load_artifact(path, expect_kind="checkpoint")
-        artifacts.require_keys(path, meta, arrays,
-                               ("config", "epoch", "adam_step", "history"))
+        _, meta, arrays = artifacts.load_artifact(
+            path, "checkpoint",
+            fields={"config": "any value", "epoch": "an integer >= 0",
+                    "adam_step": "an integer >= 0",
+                    "history": "an object of number lists"})
         try:
             config = VraeConfig.from_dict(meta["config"])
-        except (TypeError, ValueError, KeyError) as exc:
+        except (DataError, TypeError, ValueError, KeyError) as exc:
             raise DataError(f"{path}: bad model config in checkpoint "
                             f"({exc!r})") from None
-        for key in ("epoch", "adam_step"):
-            if type(meta[key]) is not int or meta[key] < 0:
-                raise DataError(f"{path}: {key} must be an integer >= 0, "
-                                f"got {meta[key]!r}")
-        history = meta["history"]
-        if type(history) is not dict or not all(
-                type(v) is list and all(type(e) in (int, float) for e in v)
-                for v in history.values()):
-            raise DataError(f"{path}: history must map names to lists of "
-                            "numbers")
         params = {k.split("/", 1)[1]: v for k, v in arrays.items()
                   if k.startswith("param/")}
-        _check_shapes(config, params)
+        _check_shapes(path, config, params)
         adam = AdamState(params)
         adam.step = meta["adam_step"]
         adam.m = {k.split("/", 1)[1]: v for k, v in arrays.items()
                   if k.startswith("adam_m/")}
         adam.v = {k.split("/", 1)[1]: v for k, v in arrays.items()
                   if k.startswith("adam_v/")}
-        history = {k: list(map(float, v)) for k, v in history.items()}
+        history = {k: list(map(float, v)) for k, v in meta["history"].items()}
         return cls(config, params, adam, meta["epoch"], history)
 
 
-def _check_shapes(config: VraeConfig, params: dict) -> None:
-    rng = SeededRng(0)
-    expected = init_weights(config, rng)
+def _check_shapes(path, config: VraeConfig, params: dict) -> None:
+    # from the shapes alone: a config that claims a huge model must not
+    # allocate it
+    expected = param_shapes(config)
     if set(expected) != set(params):
-        raise DataError("checkpoint parameter names do not match config")
-    for k, v in expected.items():
-        if params[k].shape != v.shape:
-            raise DataError(f"checkpoint shape mismatch for {k!r}: "
-                            f"{params[k].shape} vs {v.shape}")
+        raise DataError(f"{path}: checkpoint parameter names do not match "
+                        f"config")
+    for k, shape in expected.items():
+        if params[k].shape != shape:
+            raise DataError(f"{path}: checkpoint shape mismatch for {k!r}: "
+                            f"{params[k].shape} vs {shape}")
 
 
 _HISTORY_KEYS = ("train_total", "train_recon", "train_kl",

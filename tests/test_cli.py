@@ -520,6 +520,61 @@ class TestExitCodes:
         assert "method must be a string" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["bad"]
 
+    @pytest.mark.parametrize("argv, named", [
+        (["generate", "--config", "{dir}", "--out", "{tmp}/data"], "{dir}"),
+        (["cluster", "--embedding", "{dir}", "--out", "{tmp}/out"], "{dir}"),
+        (["generate", "--out", "{file}"], "{file}"),
+        (["encode", "--checkpoint", "{ckpt}", "--data",
+          "{prep}/test.windows", "--out", "{tmp}/nodir/x"], "{tmp}/nodir/x"),
+        (["encode", "--checkpoint", "{ckpt}", "--data",
+          "{prep}/test.windows", "--out", "{dir}"], "{dir}"),
+    ], ids=["config-dir", "embedding-dir", "out-existing-file",
+            "out-missing-parent", "out-dir"])
+    def test_os_error_is_2(self, pipeline_dir, tmp_path, capsys, argv,
+                           named):
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "file").write_text("kept\n")
+        paths = {**pipeline_dir, "ckpt": pipeline_dir["model.ckpt"],
+                 "tmp": str(tmp_path),
+                 "dir": str(tmp_path / "dir"), "file": str(tmp_path / "file")}
+        before = sorted(tmp_path.rglob("*"))
+        code = main([a.format(**paths) for a in argv])
+        assert code == 2
+        assert named.format(**paths) in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
+        assert (tmp_path / "file").read_text() == "kept\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["generate"], ["preprocess", "--data", "{data}"],
+    ], ids=["generate", "preprocess"])
+    def test_negative_seed_is_2(self, pipeline_dir, tmp_path, capsys, argv):
+        code = main([a.format(**pipeline_dir) for a in argv]
+                    + ["--seed", "-1", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "'seed'" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("keys, value", [
+        (("hidden_units",), 3.0), (("epochs",), 2.5),
+        (("anneal", "cycles"), "4"),
+    ], ids=["hidden-units-float", "epochs-fraction", "anneal-cycles-str"])
+    def test_checkpoint_config_wrong_type_is_2(self, pipeline_dir, tmp_path,
+                                               capsys, keys, value):
+        kind, meta, arrays = artifacts.load_artifact(pipeline_dir["model.ckpt"])
+        inner = meta["config"]
+        for key in keys[:-1]:
+            inner = inner[key]
+        inner[keys[-1]] = value
+        bad = str(tmp_path / "bad")
+        artifacts.save_artifact(bad, kind, meta, arrays)
+        code = main(["encode", "--checkpoint", bad, "--data",
+                     os.path.join(pipeline_dir["prep"], "test.windows"),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert bad in err and keys[-1] in err
+        assert os.listdir(tmp_path) == ["bad"]
+
     def test_unknown_preset_rejected_by_argparse(self):
         assert main(["generate", "--preset", "bogus", "--out", "x"]) == 1
 
