@@ -279,6 +279,7 @@ def spectral_embedding(X: np.ndarray, k_neighbors: int = 10, dims: int = 2
     Only the dims + 1 smallest eigenpairs are computed; the first, the
     trivial one, is dropped.
     """
+    from scipy.sparse import csr_array
     from scipy.sparse.csgraph import connected_components
 
     X = np.asarray(X, dtype=np.float64)
@@ -301,15 +302,18 @@ def spectral_embedding(X: np.ndarray, k_neighbors: int = 10, dims: int = 2
     order = np.argsort(d2, axis=1, kind="stable")[:, :k_neighbors + 1].copy()
     keep = order != rows[:, None]
     keep[keep.all(axis=1), k_neighbors] = False
+    src, dst = np.repeat(rows, k_neighbors), order[keep]
     adj = np.zeros((n, n))
-    adj[np.repeat(rows, k_neighbors), order[keep]] = 1.0
+    adj[src, dst] = 1.0
     adj = np.maximum(adj, adj.T)  # union of directed kNN edges
 
     deg = adj.sum(axis=1)
     if np.all(deg == 0):
         return Embedding(np.zeros((n, dims)), "spectral",
                          {"k_neighbors": k_neighbors, "dims": dims}, X.shape[1])
-    n_comp = connected_components(adj, directed=False)[0]
+    # from the n k directed edges: the dense adj would cost O(n^2) here
+    edges = csr_array((np.ones(len(src)), (src, dst)), shape=(n, n))
+    n_comp = connected_components(edges, directed=False)[0]
     if n_comp > dims + 1:
         warnings.warn(f"kNN graph has {n_comp} connected components; "
                       f"embedding may be degenerate")

@@ -146,11 +146,11 @@ def init_weights(config: VraeConfig, rng: SeededRng) -> dict[str, np.ndarray]:
 def encoder_forward(params: dict, x: np.ndarray, n_hidden: int):
     """Runs the encoder LSTM over a (B, L, d) batch from zero state.
 
-    Returns the final hidden state (B, n_hidden) and the time-major
-    state cache needed by the backward pass, which includes a (L, B, d)
-    copy of the input. The input projection x_t @ W_x is computed from
-    that copy for all timesteps in one matmul; the recurrence itself
-    runs in `_kernels.lstm_forward`.
+    Returns the final hidden state (B, n_hidden) and the state cache
+    needed by the backward pass, which includes an (L, d, B) copy of the
+    input. The input projection W_x^T x_t is computed from that copy for
+    all timesteps in one matmul, straight into the kernels' batch-innermost
+    storage; the recurrence itself runs in `_kernels.lstm_forward`.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 2:
@@ -159,15 +159,12 @@ def encoder_forward(params: dict, x: np.ndarray, n_hidden: int):
     if params["enc_W"].shape[0] != d + n_hidden:
         raise DataError(f"encoder expects input dim "
                         f"{params['enc_W'].shape[0] - n_hidden}, got {d}")
-    W_x = params["enc_W"][:d]
-    W_h = np.ascontiguousarray(params["enc_W"][d:])
-    x_tm = np.ascontiguousarray(x.transpose(1, 0, 2))
-    x_proj = x_tm.reshape(length * batch, d) @ W_x
-    x_proj += params["enc_b"]
-    x_proj = x_proj.reshape(length, batch, 4 * n_hidden)
+    x_tm = np.ascontiguousarray(x.transpose(1, 2, 0))
+    x_proj = np.matmul(params["enc_W"][:d].T, x_tm)
+    x_proj += params["enc_b"][:, None]
     zeros = np.zeros((batch, n_hidden))
-    h_all, c_all, gates, tanhc = _kernels.lstm_forward(x_proj, W_h,
-                                                       zeros, zeros)
+    h_all, c_all, gates, tanhc = _kernels.lstm_forward(
+        x_proj.transpose(0, 2, 1), params["enc_W"][d:], zeros, zeros)
     cache = {"h_all": h_all, "c_all": c_all, "gates": gates, "tanhc": tanhc,
              "x": x_tm}
     return h_all[length].copy(), cache
@@ -189,16 +186,16 @@ def decoder_forward(params: dict, z: np.ndarray, length: int, n_hidden: int):
     h0 = z @ params["zh_W"] + params["zh_b"]
     c0 = z @ params["zc_W"] + params["zc_b"]
     batch = z.shape[0]
-    d_out = params["out_W"].shape[1]
     # zero inputs: the input-side pre-activation is the bias at every step
     x_proj = np.broadcast_to(params["dec_b"], (length, batch, 4 * n_hidden))
     h_all, c_all, gates, tanhc = _kernels.lstm_forward(
         x_proj, params["dec_W"], h0, c0)
-    flat = h_all[1:].reshape(length * batch, n_hidden)
-    xhat = (flat @ params["out_W"] + params["out_b"]) \
-        .reshape(length, batch, d_out).transpose(1, 0, 2).copy()
+    # (L, d, B), like the encoder's input copy
+    xhat_tm = np.matmul(params["out_W"].T, h_all[1:].transpose(0, 2, 1))
+    xhat_tm += params["out_b"][:, None]
+    xhat = xhat_tm.transpose(2, 0, 1).copy()
     cache = {"h_all": h_all, "c_all": c_all, "gates": gates, "tanhc": tanhc,
-             "z": z}
+             "z": z, "xhat": xhat_tm}
     return xhat, cache
 
 
@@ -248,11 +245,16 @@ def forward(params: dict, x: np.ndarray, config: VraeConfig,
     z = mu + sigma * epsilon
     xhat, dec_cache = decoder_forward(params, z, x.shape[1], config.hidden_units)
     total, recon, kl = loss(x, xhat, mu, sigma, beta)
-    cache = {"x": x, "xhat": xhat, "mu": mu, "sigma": sigma, "s_pre": s_pre,
+    cache = {"x": x, "mu": mu, "sigma": sigma, "s_pre": s_pre,
              "epsilon": epsilon, "z": z, "h_final": h_final, "h_drop": h_drop,
              "drop_scale": drop_scale, "enc": enc_cache, "dec": dec_cache,
              "beta": beta}
     return total, recon, kl, cache
+
+
+def _outer_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum over t of a_t b_t^T, for (T, m, B) and (T, n, B) stacks."""
+    return np.matmul(a, b.transpose(0, 2, 1)).sum(axis=0)
 
 
 def backward(params: dict, cache: dict, config: VraeConfig
@@ -261,33 +263,30 @@ def backward(params: dict, cache: dict, config: VraeConfig
     if cache is None or "enc" not in cache:
         raise DataError("backward: forward cache missing")
     n_h = config.hidden_units
-    x, xhat = cache["x"], cache["xhat"]
-    batch, length, d = x.shape
+    batch, length, d = cache["x"].shape
     beta = cache["beta"]
     grads = {k: np.zeros_like(v) for k, v in params.items()}
 
-    # reconstruction head
-    dxhat = 2.0 * (xhat - x) / (batch * length * d)
+    # reconstruction head, in the (L, d, B) layout of the input copy
+    enc, dec = cache["enc"], cache["dec"]
+    dxhat = 2.0 * (dec["xhat"] - enc["x"]) / (batch * length * d)
 
     # decoder BPTT; h_{t-1} feeds the next cell only through the gate
-    # pre-activations, so the carried gradient is da @ W_h^T
-    dec = cache["dec"]
-    dxhat_flat = dxhat.transpose(1, 0, 2).reshape(length * batch, d)
-    dh_step = (dxhat_flat @ params["out_W"].T).reshape(length, batch, n_h)
+    # pre-activations, so the carried gradient is W_h da
+    dh_step = np.matmul(params["out_W"], dxhat)
     zeros = np.zeros((batch, n_h))
     da_all, dh0, dc0 = _kernels.lstm_backward(
-        dh_step, zeros, zeros, dec["gates"], dec["tanhc"], dec["c_all"],
-        np.ascontiguousarray(params["dec_W"].T))
-    da_flat = da_all.reshape(length * batch, 4 * n_h)
-    grads["out_W"] += dec["h_all"][1:].reshape(length * batch, n_h).T \
-        @ dxhat_flat
-    grads["out_b"] += dxhat_flat.sum(axis=0)
-    grads["dec_W"] += dec["h_all"][:-1].reshape(length * batch, n_h).T \
-        @ da_flat
-    grads["dec_b"] += da_flat.sum(axis=0)
+        dh_step.transpose(0, 2, 1), zeros, zeros, dec["gates"], dec["tanhc"],
+        dec["c_all"], params["dec_W"])
+    da = da_all.transpose(0, 2, 1)
+    h_all = dec["h_all"].transpose(0, 2, 1)
+    grads["out_W"] += _outer_sum(h_all[1:], dxhat)
+    grads["out_b"] += dxhat.sum(axis=(0, 2))
+    grads["dec_W"] += _outer_sum(h_all[:-1], da)
+    grads["dec_b"] += da.sum(axis=(0, 2))
 
     # latent pathway
-    z = cache["dec"]["z"]
+    z = dec["z"]
     dz = dh0 @ params["zh_W"].T + dc0 @ params["zc_W"].T
     grads["zh_W"] += z.T @ dh0
     grads["zh_b"] += dh0.sum(axis=0)
@@ -312,19 +311,14 @@ def backward(params: dict, cache: dict, config: VraeConfig
     dh = dh * cache["drop_scale"]
 
     # encoder BPTT; the only external gradient enters at the final state
-    enc = cache["enc"]
-    W_h = params["enc_W"][d:]
     da_all, _, _ = _kernels.lstm_backward(
         np.broadcast_to(0.0, (length, batch, n_h)), dh,
         np.zeros((batch, n_h)),
-        enc["gates"], enc["tanhc"], enc["c_all"],
-        np.ascontiguousarray(W_h.T))
-    da_flat = da_all.reshape(length * batch, 4 * n_h)
-    x_flat = enc["x"].reshape(length * batch, d)
-    grads["enc_W"][:d] += x_flat.T @ da_flat
-    grads["enc_W"][d:] += enc["h_all"][:-1].reshape(length * batch, n_h).T \
-        @ da_flat
-    grads["enc_b"] += da_flat.sum(axis=0)
+        enc["gates"], enc["tanhc"], enc["c_all"], params["enc_W"][d:])
+    da = da_all.transpose(0, 2, 1)
+    grads["enc_W"][:d] += _outer_sum(enc["x"], da)
+    grads["enc_W"][d:] += _outer_sum(enc["h_all"].transpose(0, 2, 1)[:-1], da)
+    grads["enc_b"] += da.sum(axis=(0, 2))
     return grads
 
 

@@ -537,6 +537,27 @@ class TestSpectral:
         with pytest.warns(UserWarning, match="connected components"):
             projection.spectral_embedding(X, k_neighbors=2, dims=2)
 
+    @pytest.mark.parametrize("sizes, k", [((6, 6, 6, 6, 6), 2),
+                                          ((3, 7, 4, 9, 5, 2), 1),
+                                          ((8, 8, 8, 8), 3)])
+    def test_component_count_matches_dense_graph(self, sizes, k):
+        from scipy.sparse.csgraph import connected_components
+        rng = SeededRng(24)
+        X = np.concatenate([rng.standard_normal((m, 2)) + 1e3 * b
+                            for b, m in enumerate(sizes)])
+        n = len(X)
+        d2 = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
+        np.fill_diagonal(d2, np.inf)
+        adj = np.zeros((n, n))
+        for r in range(n):
+            adj[r, np.argsort(d2[r], kind="stable")[:k]] = 1.0
+        want = connected_components(np.maximum(adj, adj.T),
+                                    directed=False)[0]
+        assert want >= len(sizes) > 3
+        with pytest.warns(UserWarning,
+                          match=f"kNN graph has {want} connected components"):
+            projection.spectral_embedding(X, k_neighbors=k, dims=2)
+
     def test_k_neighbors_bound(self):
         with pytest.raises(DataError):
             projection.spectral_embedding(_random_data(5, 2), k_neighbors=5)

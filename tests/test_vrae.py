@@ -407,9 +407,10 @@ class TestLatentLineReport:
 
 # Reference LSTM kernels for TestKernelPaths. `_scalar_*` are per-element
 # loops written straight from the cell equations; `_vectorised_*` are
-# plain vectorised kernels, with the sigmoid as 0.5 + 0.5 * tanh(a / 2),
-# whose bits the allocation-free `_kernels` versions must reproduce
-# exactly.
+# plain vectorised kernels on the same batch-innermost (T, 4H, B) and
+# (T, H, B) storage, with the sigmoid as 0.5 + 0.5 * tanh(a / 2), whose
+# bits the allocation-free `_kernels` versions must reproduce exactly.
+# All of them take and return the logical (T, B, 4H) and (T, B, H) shapes.
 
 def _scalar_forward(x_proj, W_h, h0, c0):
     T, B, H4 = x_proj.shape
@@ -441,7 +442,7 @@ def _scalar_forward(x_proj, W_h, h0, c0):
     return h_all, c_all, gates, tanhc
 
 
-def _scalar_backward(dh_step, dh_last, dc_last, gates, tanhc, c_all, W_hT):
+def _scalar_backward(dh_step, dh_last, dc_last, gates, tanhc, c_all, W_h):
     T, B, H4 = gates.shape
     H = H4 // 4
     da_all = np.empty((T, B, H4))
@@ -462,7 +463,7 @@ def _scalar_backward(dh_step, dh_last, dc_last, gates, tanhc, c_all, W_hT):
                 da_all[t, b, 2 * H + j] = dhv * tc * o * (1.0 - o)
                 da_all[t, b, 3 * H + j] = dcc * i * (1.0 - g * g)
                 dc[b, j] = dcc * f
-        dh = np.dot(da_all[t], W_hT)
+        dh = np.dot(da_all[t], W_h.T)
     return da_all, dh, dc
 
 
@@ -475,51 +476,57 @@ def _masked_sigmoid(x):
     return out
 
 
+def _tm(a):
+    """Logical (.., B, n) <-> batch-innermost (.., n, B)."""
+    return a.transpose(0, 2, 1)
+
+
 def _vectorised_forward(x_proj, W_h, h0, c0):
     T, B, H4 = x_proj.shape
     H = H4 // 4
-    h_all = np.empty((T + 1, B, H))
-    c_all = np.empty((T + 1, B, H))
-    gates = np.empty((T, B, H4))
-    tanhc = np.empty((T, B, H))
-    h_all[0] = h0
-    c_all[0] = c0
+    h_all = np.empty((T + 1, H, B))
+    c_all = np.empty((T + 1, H, B))
+    gates = np.empty((T, H4, B))
+    tanhc = np.empty((T, H, B))
+    h_all[0] = h0.T
+    c_all[0] = c0.T
     for t in range(T):
-        a = x_proj[t] + h_all[t] @ W_h
-        gates[t, :, :3 * H] = 0.5 + 0.5 * np.tanh(0.5 * a[:, :3 * H])
-        gates[t, :, 3 * H:] = np.tanh(a[:, 3 * H:])
-        i = gates[t, :, :H]
-        f = gates[t, :, H:2 * H]
-        o = gates[t, :, 2 * H:3 * H]
-        g = gates[t, :, 3 * H:]
+        a = _tm(x_proj)[t] + W_h.T @ h_all[t]
+        gates[t, :3 * H] = 0.5 + 0.5 * np.tanh(0.5 * a[:3 * H])
+        gates[t, 3 * H:] = np.tanh(a[3 * H:])
+        i = gates[t, :H]
+        f = gates[t, H:2 * H]
+        o = gates[t, 2 * H:3 * H]
+        g = gates[t, 3 * H:]
         c_all[t + 1] = f * c_all[t] + i * g
         tanhc[t] = np.tanh(c_all[t + 1])
         h_all[t + 1] = o * tanhc[t]
-    return h_all, c_all, gates, tanhc
+    return _tm(h_all), _tm(c_all), _tm(gates), _tm(tanhc)
 
 
 def _vectorised_backward(dh_step, dh_last, dc_last, gates, tanhc, c_all,
-                         W_hT):
+                         W_h):
     T, B, H4 = gates.shape
     H = H4 // 4
-    da_all = np.empty((T, B, H4))
-    dh = dh_last.copy()
-    dc = dc_last.copy()
+    dh_step, gates, tanhc, c_all = map(_tm, (dh_step, gates, tanhc, c_all))
+    da_all = np.empty((T, H4, B))
+    dh = dh_last.T.copy()
+    dc = dc_last.T.copy()
     for t in range(T - 1, -1, -1):
         dhv = dh + dh_step[t]
-        i = gates[t, :, :H]
-        f = gates[t, :, H:2 * H]
-        o = gates[t, :, 2 * H:3 * H]
-        g = gates[t, :, 3 * H:]
+        i = gates[t, :H]
+        f = gates[t, H:2 * H]
+        o = gates[t, 2 * H:3 * H]
+        g = gates[t, 3 * H:]
         tc = tanhc[t]
         dcc = dc + dhv * o * (1.0 - tc * tc)
-        da_all[t, :, :H] = dcc * g * i * (1.0 - i)
-        da_all[t, :, H:2 * H] = dcc * c_all[t] * f * (1.0 - f)
-        da_all[t, :, 2 * H:3 * H] = dhv * tc * o * (1.0 - o)
-        da_all[t, :, 3 * H:] = dcc * i * (1.0 - g * g)
+        da_all[t, :H] = dcc * g * i * (1.0 - i)
+        da_all[t, H:2 * H] = dcc * c_all[t] * f * (1.0 - f)
+        da_all[t, 2 * H:3 * H] = dhv * tc * o * (1.0 - o)
+        da_all[t, 3 * H:] = dcc * i * (1.0 - g * g)
         dc = dcc * f
-        dh = da_all[t] @ W_hT
-    return da_all, dh, dc
+        dh = W_h @ da_all[t]
+    return _tm(da_all), dh.T, dc.T
 
 
 def _lstm_inputs(seed, T, B, H, scale=1.0):
@@ -536,7 +543,7 @@ def _backward_inputs(seed, fwd, W_h):
     T, B, H = tanhc.shape
     dh_step = rng.normal(size=(T, B, H))
     dh, dc = rng.normal(size=(B, H)), rng.normal(size=(B, H))
-    return dh_step, dh, dc, gates, tanhc, c_all, np.ascontiguousarray(W_h.T)
+    return dh_step, dh, dc, gates, tanhc, c_all, W_h
 
 
 def _assert_all_equal(got, want):
@@ -549,9 +556,10 @@ class TestKernelPaths:
     """The numpy LSTM kernels against per-element loops (to 1e-14) and
     against the earlier vectorised kernels (bit for bit)."""
 
-    def test_forward_and_backward_agree(self):
+    @staticmethod
+    def _agree_with_scalar(T, B, H):
         from vraets import _kernels
-        args = _lstm_inputs(12, T=7, B=3, H=4)
+        args = _lstm_inputs(12, T, B, H)
         fwd = _kernels.lstm_forward(*args)
         for a, b in zip(fwd, _scalar_forward(*args)):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-14)
@@ -559,6 +567,15 @@ class TestKernelPaths:
         for a, b in zip(_kernels.lstm_backward(*bargs),
                         _scalar_backward(*bargs)):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-14)
+
+    def test_forward_and_backward_agree(self):
+        self._agree_with_scalar(T=7, B=3, H=4)
+
+    # batch sizes where the carried-gradient product W_h @ da rounds
+    # differently from (da^T @ W_h^T)^T on OpenBLAS (B mod 8 in 1..4)
+    @pytest.mark.parametrize("T,B,H", [(6, 17, 5), (4, 44, 5)])
+    def test_agree_where_the_product_rounds_differently(self, T, B, H):
+        self._agree_with_scalar(T, B, H)
 
     @pytest.mark.parametrize("T,B,H,scale", [(7, 3, 4, 1.0), (40, 17, 5, 4.0),
                                              (25, 64, 32, 30.0),
@@ -580,12 +597,32 @@ class TestKernelPaths:
         bias = np.broadcast_to(x_proj[0, 0], x_proj.shape)
         fwd = _kernels.lstm_forward(bias, W_h, h0, c0)
         _assert_all_equal(fwd, _vectorised_forward(bias.copy(), W_h, h0, c0))
-        _, dh, dc, gates, tanhc, c_all, W_hT = _backward_inputs(6, fwd, W_h)
+        _, dh, dc, gates, tanhc, c_all, W_h = _backward_inputs(6, fwd, W_h)
         zero = np.broadcast_to(0.0, tanhc.shape)
         _assert_all_equal(
-            _kernels.lstm_backward(zero, dh, dc, gates, tanhc, c_all, W_hT),
+            _kernels.lstm_backward(zero, dh, dc, gates, tanhc, c_all, W_h),
             _vectorised_backward(np.zeros(tanhc.shape), dh, dc, gates,
-                                 tanhc, c_all, W_hT))
+                                 tanhc, c_all, W_h))
+
+    def test_logical_shapes_and_batch_innermost_storage(self):
+        from vraets import _kernels
+        T, B, H = 6, 5, 3
+        x_proj, W_h, h0, c0 = _lstm_inputs(8, T, B, H)
+        inner = np.ascontiguousarray(x_proj.transpose(0, 2, 1))
+        fwd = _kernels.lstm_forward(x_proj, W_h, h0, c0)
+        _assert_all_equal(fwd, _kernels.lstm_forward(
+            inner.transpose(0, 2, 1), W_h, h0, c0))
+        assert [a.shape for a in fwd] == [(T + 1, B, H), (T + 1, B, H),
+                                          (T, B, 4 * H), (T, B, H)]
+        bias = np.broadcast_to(x_proj[0, 0], x_proj.shape)
+        _assert_all_equal(_kernels.lstm_forward(bias, W_h, h0, c0),
+                          _kernels.lstm_forward(bias.copy(), W_h, h0, c0))
+        bargs = _backward_inputs(9, fwd, W_h)
+        bwd = _kernels.lstm_backward(*bargs)
+        assert [a.shape for a in bwd] == [(T, B, 4 * H), (B, H), (B, H)]
+        # every gate block of a step is one contiguous (H, B) slab
+        for a in fwd + bwd[:1]:
+            assert a.transpose(0, 2, 1).flags.c_contiguous
 
     def test_special_preactivations_bit_identical(self):
         # zero recurrent weights and state make every pre-activation of
