@@ -17,7 +17,14 @@ import argparse
 import os
 import sys
 
-import numpy as np
+# One BLAS thread, set before numpy is first imported, whatever the caller
+# set: a product's rounding depends on the thread count, and t-SNE turns
+# that into a different embedding. A process that loaded numpy first is
+# not pinned.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+os.environ["OMP_NUM_THREADS"] = "1"
+
+import numpy as np  # noqa: E402
 
 from vraets import artifacts, clustering, config as cfgmod, dataset, projection
 from vraets import scoring, svgplot, vrae

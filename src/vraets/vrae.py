@@ -324,28 +324,22 @@ def backward(params: dict, cache: dict, config: VraeConfig
 
 @dataclass
 class Checkpoint:
-    """Model weights plus optimizer state, config, and training history."""
+    """Model weights plus config and training history."""
 
     config: VraeConfig
     params: dict[str, np.ndarray]
-    adam: AdamState
-    epoch: int
     history: dict[str, list[float]]
 
     def save(self, path) -> None:
         arrays = {f"param/{k}": v for k, v in self.params.items()}
-        arrays.update({f"adam_m/{k}": v for k, v in self.adam.m.items()})
-        arrays.update({f"adam_v/{k}": v for k, v in self.adam.v.items()})
-        meta = {"config": self.config.to_dict(), "epoch": self.epoch,
-                "adam_step": self.adam.step, "history": self.history}
+        meta = {"config": self.config.to_dict(), "history": self.history}
         artifacts.save_artifact(path, "checkpoint", meta, arrays)
 
     @classmethod
     def load(cls, path) -> "Checkpoint":
         _, meta, arrays = artifacts.load_artifact(
             path, "checkpoint",
-            fields={"config": "any value", "epoch": "an integer >= 0",
-                    "adam_step": "an integer >= 0",
+            fields={"config": "any value",
                     "history": "an object of number lists"})
         try:
             config = VraeConfig.from_dict(meta["config"])
@@ -355,14 +349,8 @@ class Checkpoint:
         params = {k.split("/", 1)[1]: v for k, v in arrays.items()
                   if k.startswith("param/")}
         _check_shapes(path, config, params)
-        adam = AdamState(params)
-        adam.step = meta["adam_step"]
-        adam.m = {k.split("/", 1)[1]: v for k, v in arrays.items()
-                  if k.startswith("adam_m/")}
-        adam.v = {k.split("/", 1)[1]: v for k, v in arrays.items()
-                  if k.startswith("adam_v/")}
         history = {k: list(map(float, v)) for k, v in meta["history"].items()}
-        return cls(config, params, adam, meta["epoch"], history)
+        return cls(config, params, history)
 
 
 def _check_shapes(path, config: VraeConfig, params: dict) -> None:
@@ -435,7 +423,7 @@ def train(config: VraeConfig, train_set: WindowedDataset,
             history["val_total"].append(vt)
             history["val_recon"].append(vr)
             history["val_kl"].append(vk)
-    return Checkpoint(config, params, adam, config.epochs, history)
+    return Checkpoint(config, params, history)
 
 
 def evaluate(params: dict, dataset: WindowedDataset, config: VraeConfig,

@@ -424,11 +424,8 @@ class TestExitCodes:
         assert os.listdir(tmp_path) == ["bad"]
 
     @pytest.mark.parametrize("key, value", [
-        ("epoch", "x"), ("epoch", 2.5), ("adam_step", "x"),
-        ("adam_step", -1), ("history", [1.0]),
-        ("history", {"train_total": "ab"}),
-    ], ids=["epoch-str", "epoch-float", "adam-step-str", "adam-step-negative",
-            "history-list", "history-str-values"])
+        ("history", [1.0]), ("history", {"train_total": "ab"}),
+    ], ids=["history-list", "history-str-values"])
     def test_checkpoint_bad_meta_type_is_2(self, pipeline_dir, tmp_path,
                                            capsys, key, value):
         kind, meta, arrays = artifacts.load_artifact(pipeline_dir["model.ckpt"])
@@ -602,6 +599,15 @@ class TestConfigEcho:
         assert cfg["cluster.k"] == 4
 
 
+def _env_with_src(**overrides) -> dict:
+    """The environment of a child Python that imports vraets from src/."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, **overrides)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
     # scipy.stats, scipy.cluster and scipy.sparse.csgraph cost a large
     # share of every process's start-up, and only ROC AUC, Ward and the
@@ -609,9 +615,31 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     code = ("import sys, vraets.cli; "
             "sys.exit(any(m in sys.modules for m in "
             "('scipy.stats', 'scipy.cluster', 'scipy.sparse.csgraph')))")
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode \
-        == 0
+    assert subprocess.run([sys.executable, "-c", code],
+                          env=_env_with_src()).returncode == 0
+
+
+def test_tsne_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # 5-dim latents in 4 classes (14:4:4:3) around rows of a random
+    # orthogonal matrix: at N=375, two BLAS threads round some products
+    # differently from one, and t-SNE grows that into another embedding
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+    sizes = [210, 60, 60, 45]
+    labels = np.repeat(np.arange(4), sizes)
+    mus = 5.0 * q[labels] + rng.standard_normal((len(labels), 5))
+    latents = str(tmp_path / "latents")
+    artifacts.save_artifact(latents, "latents", {"latent_dim": 5},
+                            {"mus": mus, "labels": labels})
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"emb_{threads}"
+        argv = [sys.executable, "-m", "vraets.cli", "project",
+                "--preset", "multi-class", "--method", "tsne",
+                "--latents", latents, "--out", str(out)]
+        env = _env_with_src(OPENBLAS_NUM_THREADS=threads,
+                            OMP_NUM_THREADS=threads)
+        assert subprocess.run(argv, env=env, stdout=subprocess.DEVNULL
+                              ).returncode == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]

@@ -48,7 +48,7 @@ def _key_paths():
     the checkpoint's nested model config included."""
     config = vrae.VraeConfig(input_dim=1, hidden_units=1, latent_dim=1)
     keys = {"windows": ["window_length", "stride", "feature_names"],
-            "checkpoint": ["config", "epoch", "adam_step", "history"],
+            "checkpoint": ["config", "history"],
             "latents": ["latent_dim"],
             "embedding": ["method", "params", "source_dim"],
             "assignment": ["method", "params", "inertia"]}

@@ -317,7 +317,28 @@ class TestCheckpoint:
         assert p1.read_bytes() == p2.read_bytes()
         for k in ckpt.params:
             np.testing.assert_array_equal(loaded.params[k], ckpt.params[k])
-        assert loaded.adam.step == ckpt.adam.step
+        _, meta, arrays = artifacts.load_artifact(p1)
+        assert list(arrays) == [f"param/{k}" for k in vrae.param_shapes(cfg)]
+        assert set(meta) == {"config", "history"}
+
+    def test_checkpoint_with_optimizer_state_encodes_the_same(self, tmp_path):
+        # older checkpoints also hold Adam's moments, its step and the
+        # epoch; they must load and encode as before
+        ds = toy_dataset()
+        cfg = VraeConfig(input_dim=2, hidden_units=4, latent_dim=2, epochs=2,
+                         seed=2)
+        path = tmp_path / "a.ckpt"
+        train(cfg, ds).save(path)
+        kind, meta, arrays = artifacts.load_artifact(path)
+        params = {k.split("/", 1)[1]: v for k, v in arrays.items()}
+        old = tmp_path / "old.ckpt"
+        artifacts.save_artifact(
+            old, kind, {**meta, "epoch": 2, "adam_step": 2},
+            {**arrays, **{f"adam_m/{k}": v + 1.0 for k, v in params.items()},
+             **{f"adam_v/{k}": v * v for k, v in params.items()}})
+        mus, _ = encode_dataset(Checkpoint.load(path), ds)
+        old_mus, _ = encode_dataset(Checkpoint.load(old), ds)
+        assert mus.tobytes() == old_mus.tobytes()
 
     def test_shape_validation_on_load(self, tmp_path):
         ds = toy_dataset()
