@@ -17,7 +17,9 @@ suite. Everything is float64 numpy and deterministic under a seed.
 from __future__ import annotations
 
 import numbers
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -252,14 +254,43 @@ def forward(params: dict, x: np.ndarray, config: VraeConfig,
     return total, recon, kl, cache
 
 
-def _outer_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sum over t of a_t b_t^T, for (T, m, B) and (T, n, B) stacks."""
-    return np.matmul(a, b.transpose(0, 2, 1)).sum(axis=0)
+def _outer_sum(a: np.ndarray, b: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """Sum over t of a_t b_t^T, for (T, m, B) and (T, n, B) stacks; `out`
+    is (T, m, n) scratch for the per-step products."""
+    return np.matmul(a, b.transpose(0, 2, 1), out=out).sum(axis=0)
+
+
+def _new_helper() -> None:
+    # a forked child inherits the executor but not its thread
+    global _helper
+    _helper = ThreadPoolExecutor(max_workers=1,
+                                 thread_name_prefix="vraets-backward")
+
+
+_new_helper()
+os.register_at_fork(after_in_child=_new_helper)
 
 
 def backward(params: dict, cache: dict, config: VraeConfig
              ) -> dict[str, np.ndarray]:
-    """Analytic gradients of the total loss for every weight in params."""
+    """Analytic gradients of the total loss for every weight in params.
+
+    The weight-gradient sums release the GIL, so most of them run on
+    one helper thread, shared by every caller in the process, while the
+    calling thread runs the BPTT loops:
+      - helper, during the latent pathway and the encoder's BPTT:
+        `out_W`, `out_b`, `dec_W`, `dec_b`;
+      - helper, after the encoder's BPTT: `enc_W[:d]` (the input rows)
+        and `enc_b`;
+      - calling thread: both BPTT loops, the latent pathway and the
+        posterior heads, then `enc_W[d:]`.
+    Each sum is the same operation on the same operands as on one
+    thread, and each key or row block of the result is written by one
+    thread only, so the bytes do not depend on the core count. The
+    helper calls nothing that `vraebench/spans.py` traces, and this
+    function neither returns nor raises before both of its tasks end.
+    """
     if cache is None or "enc" not in cache:
         raise DataError("backward: forward cache missing")
     n_h = config.hidden_units
@@ -278,47 +309,67 @@ def backward(params: dict, cache: dict, config: VraeConfig
     da_all, dh0, dc0 = _kernels.lstm_backward(
         dh_step.transpose(0, 2, 1), zeros, zeros, dec["gates"], dec["tanhc"],
         dec["c_all"], params["dec_W"])
-    da = da_all.transpose(0, 2, 1)
-    h_all = dec["h_all"].transpose(0, 2, 1)
-    grads["out_W"] += _outer_sum(h_all[1:], dxhat)
-    grads["out_b"] += dxhat.sum(axis=(0, 2))
-    grads["dec_W"] += _outer_sum(h_all[:-1], da)
-    grads["dec_b"] += da.sum(axis=(0, 2))
+    da_dec = da_all.transpose(0, 2, 1)
+    # scratch for the per-step products of the weight-gradient sums,
+    # made on this thread so that the helper's malloc arena keeps none
+    # of them; h_prod serves dec_W, then enc_W[d:]
+    out_prod = np.empty((length, n_h, d))
+    h_prod = np.empty((length, n_h, 4 * n_h))
+    x_prod = np.empty((length, d, 4 * n_h))
 
-    # latent pathway
-    z = dec["z"]
-    dz = dh0 @ params["zh_W"].T + dc0 @ params["zc_W"].T
-    grads["zh_W"] += z.T @ dh0
-    grads["zh_b"] += dh0.sum(axis=0)
-    grads["zc_W"] += z.T @ dc0
-    grads["zc_b"] += dc0.sum(axis=0)
+    def decoder_sums():
+        h_all = dec["h_all"].transpose(0, 2, 1)
+        grads["out_W"] += _outer_sum(h_all[1:], dxhat, out_prod)
+        grads["out_b"] += dxhat.sum(axis=(0, 2))
+        grads["dec_W"] += _outer_sum(h_all[:-1], da_dec, h_prod)
+        grads["dec_b"] += da_dec.sum(axis=(0, 2))
 
-    mu, sigma, s_pre = cache["mu"], cache["sigma"], cache["s_pre"]
-    dmu = dz.copy()
-    dsigma = dz * cache["epsilon"]
-    # KL term (batch mean of the per-sample closed form)
-    dmu += beta * mu / batch
-    dsigma += beta * (sigma - 1.0 / sigma) / batch
-    ds_pre = dsigma * expit(s_pre)
+    futures = [_helper.submit(decoder_sums)]
+    try:
+        # latent pathway
+        z = dec["z"]
+        dz = dh0 @ params["zh_W"].T + dc0 @ params["zc_W"].T
+        grads["zh_W"] += z.T @ dh0
+        grads["zh_b"] += dh0.sum(axis=0)
+        grads["zc_W"] += z.T @ dc0
+        grads["zc_b"] += dc0.sum(axis=0)
 
-    h_drop = cache["h_drop"]
-    grads["mu_W"] += h_drop.T @ dmu
-    grads["mu_b"] += dmu.sum(axis=0)
-    grads["sig_W"] += h_drop.T @ ds_pre
-    grads["sig_b"] += ds_pre.sum(axis=0)
+        mu, sigma, s_pre = cache["mu"], cache["sigma"], cache["s_pre"]
+        dmu = dz.copy()
+        dsigma = dz * cache["epsilon"]
+        # KL term (batch mean of the per-sample closed form)
+        dmu += beta * mu / batch
+        dsigma += beta * (sigma - 1.0 / sigma) / batch
+        ds_pre = dsigma * expit(s_pre)
 
-    dh = (dmu @ params["mu_W"].T + ds_pre @ params["sig_W"].T)
-    dh = dh * cache["drop_scale"]
+        h_drop = cache["h_drop"]
+        grads["mu_W"] += h_drop.T @ dmu
+        grads["mu_b"] += dmu.sum(axis=0)
+        grads["sig_W"] += h_drop.T @ ds_pre
+        grads["sig_b"] += ds_pre.sum(axis=0)
 
-    # encoder BPTT; the only external gradient enters at the final state
-    da_all, _, _ = _kernels.lstm_backward(
-        np.broadcast_to(0.0, (length, batch, n_h)), dh,
-        np.zeros((batch, n_h)),
-        enc["gates"], enc["tanhc"], enc["c_all"], params["enc_W"][d:])
-    da = da_all.transpose(0, 2, 1)
-    grads["enc_W"][:d] += _outer_sum(enc["x"], da)
-    grads["enc_W"][d:] += _outer_sum(enc["h_all"].transpose(0, 2, 1)[:-1], da)
-    grads["enc_b"] += da.sum(axis=(0, 2))
+        dh = (dmu @ params["mu_W"].T + ds_pre @ params["sig_W"].T)
+        dh = dh * cache["drop_scale"]
+
+        # encoder BPTT; the only external gradient enters at the final state
+        da_all, _, _ = _kernels.lstm_backward(
+            np.broadcast_to(0.0, (length, batch, n_h)), dh,
+            np.zeros((batch, n_h)),
+            enc["gates"], enc["tanhc"], enc["c_all"], params["enc_W"][d:])
+        da_enc = da_all.transpose(0, 2, 1)
+
+        def encoder_input_sums():
+            grads["enc_W"][:d] += _outer_sum(enc["x"], da_enc, x_prod)
+            grads["enc_b"] += da_enc.sum(axis=(0, 2))
+
+        futures.append(_helper.submit(encoder_input_sums))
+        futures[0].result()             # dec_W's sum is done with h_prod
+        grads["enc_W"][d:] += _outer_sum(
+            enc["h_all"].transpose(0, 2, 1)[:-1], da_enc, h_prod)
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
     return grads
 
 
@@ -378,6 +429,11 @@ def train(config: VraeConfig, train_set: WindowedDataset,
     if train_set.n_features != config.input_dim:
         raise DataError(f"train: dataset has {train_set.n_features} features, "
                         f"config expects {config.input_dim}")
+    if (val_set is not None
+            and val_set.feature_names != train_set.feature_names):
+        raise DataError(f"train: validation features {val_set.feature_names} "
+                        f"differ from training features "
+                        f"{train_set.feature_names}")
     rng = SeededRng(config.seed)
     params = init_weights(config, rng)
     adam = AdamState(params)

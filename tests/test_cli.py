@@ -328,6 +328,24 @@ class TestExitCodes:
         assert "epochs" in capsys.readouterr().err
         assert not (tmp_path / "model.ckpt").exists()
 
+    def test_val_data_in_another_feature_order_is_2(self, mini_config,
+                                                    pipeline_dir, tmp_path,
+                                                    capsys):
+        kind, meta, arrays = artifacts.load_artifact(
+            os.path.join(pipeline_dir["prep"], "test.windows"))
+        names = meta["feature_names"]
+        meta["feature_names"] = names[::-1]
+        arrays["windows"] = arrays["windows"][..., ::-1]
+        val = str(tmp_path / "val.windows")
+        artifacts.save_artifact(val, kind, meta, arrays)
+        code = main(["train", "--config", mini_config, "--train-data",
+                     os.path.join(pipeline_dir["prep"], "train.windows"),
+                     "--val-data", val, "--out", str(tmp_path / "model.ckpt")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(names) in err and str(names[::-1]) in err
+        assert not (tmp_path / "model.ckpt").exists()
+
     @pytest.mark.parametrize("name", ["sim_003.csv", "metadata.csv"])
     def test_non_utf8_input_file_is_2(self, pipeline_dir, mini_config,
                                       tmp_path, capsys, name):
@@ -641,5 +659,29 @@ def test_tsne_bytes_do_not_depend_on_blas_threads(tmp_path):
                             OMP_NUM_THREADS=threads)
         assert subprocess.run(argv, env=env, stdout=subprocess.DEVNULL
                               ).returncode == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_checkpoint_bytes_do_not_depend_on_core_count(pipeline_dir,
+                                                       tmp_path):
+    # the backward pass splits its sums between two threads the same way
+    # on one core as on many
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("vrae.hidden_units = 8\n"
+                   "vrae.latent_dim = 3\n"
+                   "vrae.epochs = 3\n"
+                   "vrae.batch_size = 16\n")
+    one_cpu = {min(os.sched_getaffinity(0))}
+    outs = []
+    for pin in (True, False):
+        out = tmp_path / f"model_{pin}.ckpt"
+        argv = [sys.executable, "-m", "vraets.cli", "train",
+                "--config", str(cfg), "--seed", "4", "--train-data",
+                os.path.join(pipeline_dir["prep"], "train.windows"),
+                "--out", str(out)]
+        preexec = (lambda: os.sched_setaffinity(0, one_cpu)) if pin else None
+        assert subprocess.run(argv, env=_env_with_src(), preexec_fn=preexec,
+                              stdout=subprocess.DEVNULL).returncode == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]

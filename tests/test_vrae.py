@@ -1,7 +1,15 @@
+import importlib
+import importlib.util
+import multiprocessing
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
+from scipy.special import expit
 
-from vraets import artifacts, vrae
+from vraets import _kernels, artifacts, vrae
 from vraets.dataset import WindowedDataset
 from vraets.errors import DataError
 from vraets.numerics import SeededRng, finite_difference_gradient
@@ -222,6 +230,94 @@ class TestBackward:
         with pytest.raises(DataError):
             backward(tiny_params(), {}, TINY)
 
+    @pytest.mark.parametrize("batch", [64, 60])
+    def test_helper_thread_changes_no_bit(self, batch):
+        # the benchmark's model on its full batch and on the tail batch
+        # of 252 windows (3 * 64 + 60)
+        cfg = VraeConfig(input_dim=6, hidden_units=32, latent_dim=8)
+        rng = SeededRng(5)
+        params = init_weights(cfg, rng)
+        x = rng.standard_normal((batch, 200, 6))
+        eps = rng.standard_normal((batch, 8))
+        mask = (rng.uniform(0.0, 1.0, (batch, 32)) < 0.8).astype(float)
+        _, _, _, cache = forward(params, x, cfg, eps, 0.3, mask)
+        got = backward(params, cache, cfg)
+        want = _serial_backward(params, cache, cfg)
+        assert list(got) == list(want)
+        for name in want:
+            assert got[name].tobytes() == want[name].tobytes(), name
+
+    def test_forked_child_runs_backward(self):
+        # the child inherits the parent's executor but not its thread
+        rng = SeededRng(7)
+        params = init_weights(TINY, rng)
+        eps = rng.standard_normal((3, 3))
+        _, _, _, cache = forward(params, rng.standard_normal((3, 5, 2)),
+                                 TINY, eps, 0.5)
+        want = backward(params, cache, TINY)      # starts the helper
+
+        def child():
+            got = backward(params, cache, TINY)
+            os._exit(0 if all(np.array_equal(got[k], want[k])
+                              for k in want) else 1)
+
+        proc = multiprocessing.get_context("fork").Process(target=child)
+        proc.start()
+        proc.join(timeout=60)
+        if proc.is_alive():
+            proc.kill()
+        assert proc.exitcode == 0
+
+
+def _serial_backward(params, cache, config):
+    """`backward` on one thread: every sum in program order."""
+    n_h = config.hidden_units
+    batch, length, d = cache["x"].shape
+    beta = cache["beta"]
+    grads = {k: np.zeros_like(v) for k, v in params.items()}
+    enc, dec = cache["enc"], cache["dec"]
+    dxhat = 2.0 * (dec["xhat"] - enc["x"]) / (batch * length * d)
+    dh_step = np.matmul(params["out_W"], dxhat)
+    zeros = np.zeros((batch, n_h))
+    da_all, dh0, dc0 = _kernels.lstm_backward(
+        dh_step.transpose(0, 2, 1), zeros, zeros, dec["gates"], dec["tanhc"],
+        dec["c_all"], params["dec_W"])
+    da = da_all.transpose(0, 2, 1)
+    h_all = dec["h_all"].transpose(0, 2, 1)
+    grads["out_W"] += vrae._outer_sum(h_all[1:], dxhat)
+    grads["out_b"] += dxhat.sum(axis=(0, 2))
+    grads["dec_W"] += vrae._outer_sum(h_all[:-1], da)
+    grads["dec_b"] += da.sum(axis=(0, 2))
+    z = dec["z"]
+    dz = dh0 @ params["zh_W"].T + dc0 @ params["zc_W"].T
+    grads["zh_W"] += z.T @ dh0
+    grads["zh_b"] += dh0.sum(axis=0)
+    grads["zc_W"] += z.T @ dc0
+    grads["zc_b"] += dc0.sum(axis=0)
+    mu, sigma, s_pre = cache["mu"], cache["sigma"], cache["s_pre"]
+    dmu = dz.copy()
+    dsigma = dz * cache["epsilon"]
+    dmu += beta * mu / batch
+    dsigma += beta * (sigma - 1.0 / sigma) / batch
+    ds_pre = dsigma * expit(s_pre)
+    h_drop = cache["h_drop"]
+    grads["mu_W"] += h_drop.T @ dmu
+    grads["mu_b"] += dmu.sum(axis=0)
+    grads["sig_W"] += h_drop.T @ ds_pre
+    grads["sig_b"] += ds_pre.sum(axis=0)
+    dh = (dmu @ params["mu_W"].T + ds_pre @ params["sig_W"].T)
+    dh = dh * cache["drop_scale"]
+    da_all, _, _ = _kernels.lstm_backward(
+        np.broadcast_to(0.0, (length, batch, n_h)), dh,
+        np.zeros((batch, n_h)),
+        enc["gates"], enc["tanhc"], enc["c_all"], params["enc_W"][d:])
+    da = da_all.transpose(0, 2, 1)
+    grads["enc_W"][:d] += vrae._outer_sum(enc["x"], da)
+    grads["enc_W"][d:] += vrae._outer_sum(
+        enc["h_all"].transpose(0, 2, 1)[:-1], da)
+    grads["enc_b"] += da.sum(axis=(0, 2))
+    return grads
+
 
 class TestAnnealSchedule:
     def test_cyclical_starts_at_zero(self):
@@ -301,6 +397,80 @@ class TestTrain:
                          seed=1)
         ckpt = train(cfg, ds, ds)
         assert len(ckpt.history["val_total"]) == 2
+
+    # the same features in another order, and one feature more
+    @pytest.mark.parametrize("names, channels", [(["f1", "f0"], [1, 0]),
+                                                 (["f0", "f1", "f2"],
+                                                  [0, 1, 1])])
+    def test_validation_features_must_match_training(self, names, channels):
+        ds = toy_dataset()
+        val = WindowedDataset(ds.windows[..., channels], ds.labels, 5, 5,
+                              names)
+        with pytest.raises(DataError, match=r"\['f0', 'f1'\]") as exc:
+            train(TINY, ds, val)
+        assert str(names) in str(exc.value)
+
+    def test_concurrent_calls_match_serial(self, tmp_path):
+        # more training threads than cores, all sharing the one helper
+        ds = toy_dataset(n=12, length=30)
+        cfgs = [VraeConfig(input_dim=2, hidden_units=8, latent_dim=2,
+                           epochs=4, batch_size=4, seed=s) for s in range(4)]
+
+        def saved(ckpt, path):
+            ckpt.save(path)
+            return path.read_bytes()
+
+        want = [saved(train(c, ds), tmp_path / f"serial{i}")
+                for i, c in enumerate(cfgs)]
+        got = [None] * len(cfgs)
+
+        def run(i):
+            got[i] = saved(train(cfgs[i], ds), tmp_path / f"thread{i}")
+
+        threads = [threading.Thread(target=run, args=(i,))
+                   for i in range(len(cfgs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == want
+
+    def test_traced_functions_run_on_the_main_thread(self, monkeypatch):
+        # the benchmark's tracer keeps one span stack for the process
+        ran = []
+
+        def recorder(name, fn):
+            def call(*args, **kwargs):
+                ran.append((name, threading.current_thread()))
+                return fn(*args, **kwargs)
+            return call
+
+        for mod_name, attr, _, _ in _trace_patches():
+            module = importlib.import_module(f"vraets.{mod_name}")
+            monkeypatch.setattr(module, attr,
+                                recorder(f"{mod_name}.{attr}",
+                                         getattr(module, attr)))
+        ds = toy_dataset()
+        vrae.train(TINY, ds, ds)
+        names = {name for name, _ in ran}
+        assert {"vrae.backward", "_kernels.lstm_backward",
+                "vrae.evaluate"} <= names
+        assert all(t is threading.main_thread() for _, t in ran)
+
+
+def _trace_patches():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "vraebench",
+                        "spans.py")
+    spec = importlib.util.spec_from_file_location("vraebench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans.PATCHES
 
 
 class TestCheckpoint:
