@@ -141,6 +141,18 @@ class WindowedDataset:
             raise DataError("windows must have shape (samples, timesteps, features)")
         if self.labels.shape[0] != self.windows.shape[0]:
             raise DataError("labels length differs from window count")
+        _, length, d = self.windows.shape
+        if self.window_length != length:
+            raise DataError(f"window_length is {self.window_length} for "
+                            f"windows of {length} steps")
+        if len(self.feature_names) != d:
+            raise DataError(f"{len(self.feature_names)} feature names for "
+                            f"{d} channels")
+        if self.scaler is not None and not (
+                self.scaler.mins.shape == self.scaler.maxs.shape == (d,)):
+            raise DataError(f"scaler holds {self.scaler.mins.shape[0]} mins "
+                            f"and {self.scaler.maxs.shape[0]} maxs for "
+                            f"{d} features")
 
     def __len__(self) -> int:
         return self.windows.shape[0]

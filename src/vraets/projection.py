@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eigh
 
-from vraets import artifacts
+from vraets import _helper, artifacts
 from vraets.errors import DataError
 from vraets.numerics import sq_distances
 
@@ -24,6 +24,11 @@ _EPS = 1e-12
 TSNE_LEARNING_RATE = 200.0
 TSNE_EARLY_EXAGGERATION = 12.0
 TSNE_EXAGGERATION_ITERS = 250
+# after the exaggeration phase, no point moves further than this in one
+# iteration: P falls twelvefold at its end, and an unclipped step can
+# fling a point across to another cluster (openTSNE clips every step at
+# 5 by default, `max_step_norm`)
+TSNE_MAX_STEP = 5.0
 
 
 @dataclass
@@ -209,10 +214,30 @@ def tsne(X: np.ndarray, perplexity: float = 30.0, iterations: int = 1000
     """Exact O(N^2) t-SNE to 2D with PCA initialization.
 
     Gradient descent with momentum (0.5 before, 0.8 after the
-    exaggeration phase). extras["kl_trace"] holds one float per
+    exaggeration phase); after it, each point's step is clipped at
+    TSNE_MAX_STEP. extras["kl_trace"] holds one float per
     iteration: KL(P||Q) at every 50th iteration (0, 50, 100, ...) and at
     the last one, nan elsewhere. The PCA init makes the result a
     function of X and the parameters alone.
+
+    The rows split into two fixed blocks at (n // 2) // 8 * 8, a cut
+    that depends on n alone. The calling thread works on block 0 and the
+    process's one helper thread (`vraets._helper`) on block 1, in two
+    phases per iteration with a join after each:
+      1. each block forms its rows of num = 1 / (1 + d2), d2 from
+         coordinate differences, with zeros on the diagonal, and its
+         partial sum of num;
+      2. with Z the two partial sums added in block order, each block
+         forms Q = max(num / Z, eps), PQ = (P - Q) num (P exaggerated
+         in its phase) and its rows of the gradient 4 (s Y - PQ Y), s
+         the row sums of PQ; where the trace records the KL, each
+         block sums its rows of it, and the KL is the two partial sums
+         added in block order.
+    Each block runs the same operations on either thread, so the bytes
+    do not depend on the core count. All n x n buffers are made on the
+    calling thread, the helper calls nothing that `vraebench/spans.py`
+    traces, and this function neither returns nor raises before the
+    helper's task of each phase ends.
     """
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
@@ -230,46 +255,89 @@ def tsne(X: np.ndarray, perplexity: float = 30.0, iterations: int = 1000
     spread = init[:, 0].std()
     Y = init * (1e-4 / spread) if spread > 0 else init
 
-    # two n x n buffers take every step of every iteration, in the
-    # operation order of sq_distances and of the plain formulas, so the
-    # bits match them; only the KL, at one iteration in 50, allocates.
-    # Off the diagonal 0 - PQ, not -PQ, gives the bits np.diag(s) - PQ
-    # gave, down to the sign of a zero
-    A = np.empty((n, n))
-    B = np.empty((n, n))
     exag_P = TSNE_EARLY_EXAGGERATION * P
+    cut = (n // 2) // 8 * 8
+    bounds = ((0, cut), (cut, n))
+    # per block: num, scratch for d2, Q, PQ and the KL terms, the row
+    # sums of PQ and PQ Y
+    num = [np.empty((hi - lo, n)) for lo, hi in bounds]
+    work = [np.empty((hi - lo, n)) for lo, hi in bounds]
+    row_sums = [np.empty(hi - lo) for lo, hi in bounds]
+    pq_y = [np.empty((hi - lo, 2)) for lo, hi in bounds]
+    partial = [0.0, 0.0]
+    kl_part = [0.0, 0.0]
+    grad = np.empty((n, 2))
+
+    def affinities(b, coords):
+        # coords is Y.T, contiguous. (y_j - y_i)^2 has the bits of
+        # (y_i - y_j)^2, and a full array less a column is faster than a
+        # row less a column
+        lo, hi = bounds[b]
+        nb, wb = num[b], work[b]
+        np.copyto(wb, coords[0])
+        np.subtract(wb, coords[0, lo:hi, None], out=wb)
+        np.multiply(wb, wb, out=wb)
+        np.copyto(nb, coords[1])
+        np.subtract(nb, coords[1, lo:hi, None], out=nb)
+        np.multiply(nb, nb, out=nb)
+        np.add(wb, nb, out=nb)                # d2
+        np.add(1.0, nb, out=nb)
+        np.divide(1.0, nb, out=nb)
+        nb.reshape(-1)[lo::n + 1] = 0.0       # entries (i, lo + i)
+        partial[b] = np.sum(nb)
+
+    def gradient(b, Y, Z, P_it, record):
+        lo, hi = bounds[b]
+        nb, wb = num[b], work[b]
+        np.divide(nb, Z, out=wb)
+        np.maximum(wb, _EPS, out=wb)          # Q
+        np.subtract(P_it[lo:hi], wb, out=wb)
+        np.multiply(wb, nb, out=wb)           # PQ
+        s = np.sum(wb, axis=1, out=row_sums[b])
+        g = grad[lo:hi]
+        np.multiply(s[:, None], Y[lo:hi], out=g)
+        np.subtract(g, np.matmul(wb, Y, out=pq_y[b]), out=g)
+        np.multiply(4.0, g, out=g)
+        if record:
+            # Q again, where PQ was
+            np.divide(nb, Z, out=wb)
+            np.maximum(wb, _EPS, out=wb)
+            np.divide(P[lo:hi], wb, out=wb)
+            np.log(wb, out=wb)
+            np.multiply(P[lo:hi], wb, out=wb)
+            kl_part[b] = float(np.sum(wb))
+
     velocity = np.zeros_like(Y)
     kl_trace = [np.nan] * iterations
     for it in range(iterations):
         exaggerating = it < TSNE_EXAGGERATION_ITERS
         momentum = 0.5 if exaggerating else 0.8
-        sq = np.sum(Y * Y, axis=1)
-        np.matmul(Y, Y.T, out=A)
-        np.add(sq[:, None], sq[None, :], out=B)
-        np.multiply(2.0, A, out=A)
-        np.subtract(B, A, out=B)
-        np.fill_diagonal(B, 0.0)
-        np.maximum(B, 0.0, out=B)             # B = d2
-        np.add(1.0, B, out=B)
-        np.divide(1.0, B, out=B)
-        np.fill_diagonal(B, 0.0)              # B = num
-        np.divide(B, np.sum(B), out=A)
-        np.maximum(A, _EPS, out=A)            # A = Q
-        if it % 50 == 0 or it == iterations - 1:
-            kl_trace[it] = float(np.sum(P * np.log(P / A)))
-        np.subtract(exag_P if exaggerating else P, A, out=A)
-        np.multiply(A, B, out=A)              # A = PQ
-        s = A.sum(axis=1)
-        np.subtract(0.0, A, out=B)
-        np.fill_diagonal(B, s - A.diagonal())  # B = diag(s) - PQ
-        grad = 4.0 * (B @ Y)
+        record = it % 50 == 0 or it == iterations - 1
+        _on_both_blocks(affinities, Y.T.copy())
+        _on_both_blocks(gradient, Y, partial[0] + partial[1],
+                        exag_P if exaggerating else P, record)
+        if record:
+            kl_trace[it] = kl_part[0] + kl_part[1]
         velocity = momentum * velocity - TSNE_LEARNING_RATE * grad
+        if not exaggerating:
+            step = np.hypot(velocity[:, 0], velocity[:, 1])
+            fast = step > TSNE_MAX_STEP
+            velocity[fast] *= (TSNE_MAX_STEP / step[fast])[:, None]
         Y = Y + velocity
         Y = Y - Y.mean(axis=0)
     return Embedding(Y, "tsne",
                      {"perplexity": perplexity, "iterations": iterations,
                       "learning_rate": TSNE_LEARNING_RATE},
                      X.shape[1], extras={"kl_trace": kl_trace})
+
+
+def _on_both_blocks(fn, *args) -> None:
+    """fn(1, *args) on the helper thread while fn(0, *args) runs here."""
+    future = _helper.submit(fn, 1, *args)
+    try:
+        fn(0, *args)
+    finally:
+        future.result()
 
 
 def spectral_embedding(X: np.ndarray, k_neighbors: int = 10, dims: int = 2

@@ -17,16 +17,15 @@ suite. Everything is float64 numpy and deterministic under a seed.
 from __future__ import annotations
 
 import numbers
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import wait
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 from scipy.special import expit
 
 from vraets import artifacts
-from vraets import _kernels
+from vraets import _helper, _kernels
 from vraets.dataset import WindowedDataset
 from vraets.errors import DataError, NumericalError
 from vraets.numerics import (AdamState, SeededRng, adam_step, clip_global_norm,
@@ -261,24 +260,13 @@ def _outer_sum(a: np.ndarray, b: np.ndarray,
     return np.matmul(a, b.transpose(0, 2, 1), out=out).sum(axis=0)
 
 
-def _new_helper() -> None:
-    # a forked child inherits the executor but not its thread
-    global _helper
-    _helper = ThreadPoolExecutor(max_workers=1,
-                                 thread_name_prefix="vraets-backward")
-
-
-_new_helper()
-os.register_at_fork(after_in_child=_new_helper)
-
-
 def backward(params: dict, cache: dict, config: VraeConfig
              ) -> dict[str, np.ndarray]:
     """Analytic gradients of the total loss for every weight in params.
 
     The weight-gradient sums release the GIL, so most of them run on
-    one helper thread, shared by every caller in the process, while the
-    calling thread runs the BPTT loops:
+    the process's one helper thread (`vraets._helper`), while the calling
+    thread runs the BPTT loops:
       - helper, during the latent pathway and the encoder's BPTT:
         `out_W`, `out_b`, `dec_W`, `dec_b`;
       - helper, after the encoder's BPTT: `enc_W[:d]` (the input rows)

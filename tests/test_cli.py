@@ -271,6 +271,20 @@ class TestExitCodes:
         assert "vrae.epochs" in capsys.readouterr().err
         assert not (tmp_path / "model.ckpt").exists()
 
+    def test_windows_metadata_contradicting_arrays_is_2(self, pipeline_dir,
+                                                        mini_config, tmp_path,
+                                                        capsys):
+        kind, meta, arrays = artifacts.load_artifact(
+            os.path.join(pipeline_dir["prep"], "train.windows"))
+        meta["feature_names"] = meta["feature_names"][:-1]
+        windows = str(tmp_path / "train.windows")
+        artifacts.save_artifact(windows, kind, meta, arrays)
+        code = main(["train", "--config", mini_config, "--train-data",
+                     windows, "--out", str(tmp_path / "model.ckpt")])
+        assert code == 2
+        assert "feature names for" in capsys.readouterr().err
+        assert not (tmp_path / "model.ckpt").exists()
+
     @pytest.mark.parametrize("line", ["vrae.epochs = 2.7",
                                       "vrae.hidden_units = true",
                                       "prep.window_length = 200.9",
@@ -637,10 +651,10 @@ def test_cli_import_leaves_scipy_stats_unloaded():
                           env=_env_with_src()).returncode == 0
 
 
-def test_tsne_bytes_do_not_depend_on_blas_threads(tmp_path):
-    # 5-dim latents in 4 classes (14:4:4:3) around rows of a random
-    # orthogonal matrix: at N=375, two BLAS threads round some products
-    # differently from one, and t-SNE grows that into another embedding
+def _tsne_run(tmp_path):
+    """Saves 5-dim latents in 4 classes (14:4:4:3) around rows of a
+    random orthogonal matrix, N=375, and returns argv(out): the command
+    that projects them with t-SNE into out."""
     rng = np.random.default_rng(5)
     q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
     sizes = [210, 60, 60, 45]
@@ -649,15 +663,40 @@ def test_tsne_bytes_do_not_depend_on_blas_threads(tmp_path):
     latents = str(tmp_path / "latents")
     artifacts.save_artifact(latents, "latents", {"latent_dim": 5},
                             {"mus": mus, "labels": labels})
+
+    def argv(out):
+        return [sys.executable, "-m", "vraets.cli", "project",
+                "--preset", "multi-class", "--method", "tsne",
+                "--latents", latents, "--out", str(out)]
+    return argv
+
+
+def test_tsne_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # two BLAS threads round some products differently from one, and
+    # t-SNE grows that into another embedding
+    argv = _tsne_run(tmp_path)
     outs = []
     for threads in ("1", "2"):
         out = tmp_path / f"emb_{threads}"
-        argv = [sys.executable, "-m", "vraets.cli", "project",
-                "--preset", "multi-class", "--method", "tsne",
-                "--latents", latents, "--out", str(out)]
         env = _env_with_src(OPENBLAS_NUM_THREADS=threads,
                             OMP_NUM_THREADS=threads)
-        assert subprocess.run(argv, env=env, stdout=subprocess.DEVNULL
+        assert subprocess.run(argv(out), env=env, stdout=subprocess.DEVNULL
+                              ).returncode == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_tsne_bytes_do_not_depend_on_core_count(tmp_path):
+    # t-SNE splits its rows between two threads the same way on one core
+    # as on many
+    argv = _tsne_run(tmp_path)
+    one_cpu = {min(os.sched_getaffinity(0))}
+    outs = []
+    for pin in (True, False):
+        out = tmp_path / f"emb_{pin}"
+        preexec = (lambda: os.sched_setaffinity(0, one_cpu)) if pin else None
+        assert subprocess.run(argv(out), env=_env_with_src(),
+                              preexec_fn=preexec, stdout=subprocess.DEVNULL
                               ).returncode == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -491,6 +492,32 @@ class TestWindowsRoundtrip:
         artifacts.save_artifact(path, kind, meta, arrays)
         with pytest.raises(DataError, match=f"missing array '{drop}'"):
             dataset.load_windows(path)
+
+    @pytest.mark.parametrize("name, value, match", [
+        ("feature_names", ["f0", "f1"], "2 feature names for 3 channels"),
+        ("window_length", 7, "window_length is 7 for windows of 5 steps"),
+        ("scaler_mins", np.zeros(2), "2 mins and 3 maxs for 3 features"),
+        ("scaler_maxs", np.ones(2), "3 mins and 2 maxs for 3 features"),
+    ], ids=["feature_names", "window_length", "scaler_mins", "scaler_maxs"])
+    def test_metadata_contradicting_arrays_is_data_error(self, tmp_path,
+                                                        name, value, match):
+        ds = two_class_windows(d=3)
+        ds = dataset.scale_windows(ds, dataset.fit_minmax([ds.windows]))
+        path = tmp_path / "w.windows"
+        dataset.save_windows(ds, path)
+        kind, meta, arrays = artifacts.load_artifact(path)
+        (arrays if name.startswith("scaler") else meta)[name] = value
+        artifacts.save_artifact(path, kind, meta, arrays)
+        with pytest.raises(DataError, match=match):
+            dataset.load_windows(path)
+        if name.startswith("scaler"):
+            scaler = dataset.MinMaxScaler(arrays["scaler_mins"],
+                                          arrays["scaler_maxs"])
+            fields = {"scaler": scaler}
+        else:
+            fields = {name: value}
+        with pytest.raises(DataError, match=match):
+            dataclasses.replace(ds, **fields)
 
     def test_unscaled_windows_load_without_scaler(self, tmp_path):
         path = tmp_path / "w.windows"

@@ -2,6 +2,11 @@
 equivariance checks, kernel PCA centering, spectral embedding geometry,
 and the reference implementations that the faster code must match."""
 
+import json
+import os
+import subprocess
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -268,6 +273,49 @@ class TestTsne:
         proj = (emb.points - mid) @ axis
         assert np.all(proj[:30] < 0) and np.all(proj[30:] > 0)
 
+    def test_no_point_is_flung_to_the_other_blob(self):
+        # without TSNE_MAX_STEP, the step at the end of the exaggeration
+        # phase flung a point across to the other blob on 6 of these 20
+        # datasets
+        flung = []
+        for seed in range(20):
+            rng = SeededRng(seed)
+            X = np.concatenate([rng.standard_normal((30, 4)),
+                                rng.standard_normal((30, 4)) + 100.0])
+            Y = projection.tsne(X, perplexity=10.0, iterations=1000).points
+            axis = Y[30:].mean(axis=0) - Y[:30].mean(axis=0)
+            side = (Y - (Y[:30].mean(axis=0) + Y[30:].mean(axis=0)) / 2) @ axis
+            if not (np.all(side[:30] < 0) and np.all(side[30:] > 0)):
+                flung.append(seed)
+        assert flung == []
+
+    def test_two_threads_give_the_bytes_of_serial_calls(self):
+        # three callers share the one helper thread with the main thread
+        inputs = [(_random_data(37, 5, seed=33), 10.0),
+                  (_random_data(120, 4, seed=34), 30.0),
+                  (_duplicated_points(), 8.0)]
+        want = [projection.tsne(X, p, 301).points.tobytes()
+                for X, p in inputs]
+        got = [None] * len(inputs)
+
+        def run(i):
+            X, p = inputs[i]
+            got[i] = projection.tsne(X, p, 301).points.tobytes()
+
+        threads = [threading.Thread(target=run, args=(i,))
+                   for i in range(len(inputs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == want
+
     def test_perplexity_bounds(self):
         X = _random_data(10, 3)
         with pytest.raises(DataError):
@@ -287,10 +335,12 @@ class TestTsne:
 
 
 def _tsne_reference(X, perplexity, iterations, learning_rate=200.0,
-                    early_exaggeration=12.0, exaggeration_iters=250):
-    """The t-SNE loop as it was before it ran in two preallocated
-    buffers: fresh n x n temporaries and the KL at every iteration.
-    Returns (points, kl_trace)."""
+                    early_exaggeration=12.0, exaggeration_iters=250,
+                    max_step=5.0):
+    """The t-SNE loop in plain formulas: fresh temporaries, the two row
+    blocks one after the other, the step clip point by point, and the
+    KL at every iteration. Z and the KL are the blocks' partial sums
+    added in block order. Returns (points, kl_trace)."""
     n = X.shape[0]
     P = projection.tsne_affinities(X, perplexity)
     k0 = min(2, X.shape[1], n - 1) if min(n, X.shape[1]) >= 2 else 1
@@ -299,24 +349,37 @@ def _tsne_reference(X, perplexity, iterations, learning_rate=200.0,
         init = np.hstack([init, np.zeros((n, 1))])
     spread = init[:, 0].std()
     Y = init * (1e-4 / spread) if spread > 0 else init
+    cut = (n // 2) // 8 * 8
+    blocks = [(0, cut), (cut, n)]
     velocity = np.zeros_like(Y)
     kl_trace = []
     for it in range(iterations):
         exag = early_exaggeration if it < exaggeration_iters else 1.0
         momentum = 0.5 if it < exaggeration_iters else 0.8
-        sq = np.sum(Y * Y, axis=1)
-        d2 = sq[:, None] + sq[None, :] - 2.0 * (Y @ Y.T)
-        np.fill_diagonal(d2, 0.0)
-        d2 = np.maximum(d2, 0.0)
-        num = 1.0 / (1.0 + d2)
-        np.fill_diagonal(num, 0.0)
-        Q = np.maximum(num / np.sum(num), projection._EPS)
-        PQ = (exag * P - Q) * num
-        grad = 4.0 * ((np.diag(PQ.sum(axis=1)) - PQ) @ Y)
+        nums = []
+        for lo, hi in blocks:
+            d2 = ((Y[lo:hi, 0, None] - Y[None, :, 0]) ** 2
+                  + (Y[lo:hi, 1, None] - Y[None, :, 1]) ** 2)
+            num = 1.0 / (1.0 + d2)
+            num[np.arange(hi - lo), np.arange(lo, hi)] = 0.0
+            nums.append(num)
+        Z = np.sum(nums[0]) + np.sum(nums[1])
+        grad = np.empty_like(Y)
+        kl = []
+        for (lo, hi), num in zip(blocks, nums):
+            Q = np.maximum(num / Z, projection._EPS)
+            PQ = (exag * P[lo:hi] - Q) * num
+            grad[lo:hi] = 4.0 * (PQ.sum(axis=1)[:, None] * Y[lo:hi] - PQ @ Y)
+            kl.append(float(np.sum(P[lo:hi] * np.log(P[lo:hi] / Q))))
         velocity = momentum * velocity - learning_rate * grad
+        if it >= exaggeration_iters:
+            for i in range(n):
+                step = np.hypot(velocity[i, 0], velocity[i, 1])
+                if step > max_step:
+                    velocity[i] *= max_step / step
         Y = Y + velocity
         Y = Y - Y.mean(axis=0)
-        kl_trace.append(float(np.sum(P * np.log(P / Q))))
+        kl_trace.append(kl[0] + kl[1])
     return Y, np.array(kl_trace)
 
 
@@ -325,7 +388,7 @@ class TestTsneMatchesReference:
     bit for bit; the KL is nan where the loop does not compute it."""
 
     @pytest.mark.parametrize("X, perplexity, iterations", [
-        (_random_data(5, 3, seed=32), 3.0, 30),       # below 50
+        (_random_data(5, 3, seed=32), 3.0, 30),       # below 50; block 0 empty
         (_random_data(37, 5, seed=33), 10.0, 200),    # exaggeration only
         (_random_data(120, 4, seed=34), 30.0, 301),
         (_duplicated_points(), 8.0, 301),
@@ -343,6 +406,52 @@ class TestTsneMatchesReference:
         recorded[-1] = True
         np.testing.assert_array_equal(trace[recorded], kl[recorded])
         assert np.all(np.isnan(trace[~recorded]))
+
+
+# final KL and true-class silhouette of t-SNE on seeds 1-10 of the
+# analyze-multi-class mixture, on one thread with one BLAS thread, as the
+# loop ran before its rows were split between two threads
+_BASE_KL = (0.5981246023193671, 0.6161178653131402, 0.5774128450614667,
+            0.618090758466922, 0.5887782067982779, 0.5846475431498881,
+            0.6608355998804198, 0.6260382411158903, 0.601151171681529,
+            0.6193871597462408)
+_BASE_SILHOUETTE = (0.7843056368164221, 0.80661449106452, 0.7939602666096398,
+                    0.7806136722625137, 0.8030004889445003,
+                    0.7980706463273352, 0.7995220116219678,
+                    0.7877211237303927, 0.7939364982768642,
+                    0.8080293687146456)
+_GATE_RUN = """
+import json, sys
+sys.path[:0] = sys.argv[1:]
+from workloads import mixture
+from vraets import projection, scoring
+runs = []
+for seed in range(1, 11):
+    X, labels = mixture(seed * 7919 + 375, 375)
+    emb = projection.tsne(X, 30.0, 1000)
+    runs.append([emb.extras["kl_trace"][-1],
+                 scoring.silhouette(emb.points, labels)])
+print(json.dumps(runs))
+"""
+
+
+class TestTsneQualityGate:
+    """t-SNE turns a change in the last bit into another embedding, so a
+    change to its loop is judged on the seed spread: over the ten seeds,
+    the mean final KL is at most the base mean plus one sd, and the mean
+    true-class silhouette at least the base mean less one sd."""
+
+    def test_kl_and_silhouette_within_one_sd_of_the_base(self):
+        root = os.path.join(os.path.dirname(__file__), os.pardir)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        done = subprocess.run(
+            [sys.executable, "-c", _GATE_RUN, os.path.join(root, "src"),
+             os.path.join(root, "vraebench")],
+            env=env, capture_output=True, text=True, timeout=600, check=True)
+        kl, silhouette = np.array(json.loads(done.stdout)).T
+        assert kl.mean() <= np.mean(_BASE_KL) + np.std(_BASE_KL)
+        assert (silhouette.mean()
+                >= np.mean(_BASE_SILHOUETTE) - np.std(_BASE_SILHOUETTE))
 
 
 def _bandwidths_reference(d2, perplexity, tol=1e-5, max_iter=100):

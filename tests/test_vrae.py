@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from vraets import _kernels, artifacts, vrae
+from vraets import _kernels, artifacts, projection, vrae
 from vraets.dataset import WindowedDataset
 from vraets.errors import DataError
 from vraets.numerics import SeededRng, finite_difference_gradient
@@ -442,7 +442,8 @@ class TestTrain:
         assert got == want
 
     def test_traced_functions_run_on_the_main_thread(self, monkeypatch):
-        # the benchmark's tracer keeps one span stack for the process
+        # the benchmark's tracer keeps one span stack for the process;
+        # training and t-SNE both hand work to the helper thread
         ran = []
 
         def recorder(name, fn):
@@ -458,9 +459,10 @@ class TestTrain:
                                          getattr(module, attr)))
         ds = toy_dataset()
         vrae.train(TINY, ds, ds)
+        projection.tsne(SeededRng(3).standard_normal((40, 3)), 10.0, 60)
         names = {name for name, _ in ran}
-        assert {"vrae.backward", "_kernels.lstm_backward",
-                "vrae.evaluate"} <= names
+        assert {"vrae.backward", "_kernels.lstm_backward", "vrae.evaluate",
+                "projection.tsne", "projection.tsne_affinities"} <= names
         assert all(t is threading.main_thread() for _, t in ran)
 
 
