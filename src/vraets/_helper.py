@@ -1,17 +1,20 @@
 """The process's one helper thread.
 
-`vrae.backward` and `projection.tsne` hand work that releases the GIL to
-one single-worker executor, shared by every caller in the process. Each
-caller waits for every future it submits before it returns or raises,
-and the helper runs nothing that the benchmark's tracer patches. No
-thread starts at import: the executor starts its thread on the first
-submit.
+`vrae.backward` and `projection.tsne` run work that releases the GIL on
+one single-worker executor, reached only through `beside`. A task is
+joined before its caller returns or raises, which `beside` does by
+construction. It calls nothing in `vraebench/spans.py::PATCHES`, so
+every traced span runs on the calling thread. It allocates no large
+buffer: callers make them on their own thread, so that the helper's
+malloc arena keeps none. No thread starts at import: the executor
+starts its thread on the first task.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 
 def _new_executor() -> None:
@@ -25,6 +28,15 @@ _new_executor()
 os.register_at_fork(after_in_child=_new_executor)
 
 
-def submit(fn, *args) -> Future:
-    """Runs fn(*args) on the helper thread, after the tasks before it."""
-    return _executor.submit(fn, *args)
+@contextmanager
+def beside(fn, *args):
+    """Runs fn(*args) on the helper thread, after the tasks before it,
+    while the `with` block runs on the calling thread, and leaves only
+    after fn has ended. The block's exception wins over fn's."""
+    future = _executor.submit(fn, *args)
+    try:
+        yield
+    except BaseException:
+        future.exception()              # waits for fn to end
+        raise
+    future.result()

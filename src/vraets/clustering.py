@@ -159,9 +159,13 @@ def hierarchical(X: np.ndarray, k: int) -> ClusterAssignment:
 def default_eps(X: np.ndarray) -> float:
     """Median distance to the EPS_NEIGHBOUR-th nearest neighbor."""
     X = np.asarray(X, dtype=np.float64)
+    n = X.shape[0]
+    if n < 2:
+        raise DataError(f"dbscan: the default eps needs at least 2 points, "
+                        f"got {n}; set cluster.eps")
     d = np.sqrt(sq_distances(X))
     np.fill_diagonal(d, np.inf)
-    kth = np.sort(d, axis=1)[:, min(EPS_NEIGHBOUR, X.shape[0] - 1) - 1]
+    kth = np.sort(d, axis=1)[:, min(EPS_NEIGHBOUR, n - 1) - 1]
     med = float(np.median(kth))
     return med if med > 0 else 1.0
 

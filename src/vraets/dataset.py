@@ -431,8 +431,8 @@ def split(dataset: WindowedDataset, train_fraction: float, seed: int
         raise DataError(f"split: train_fraction must be in (0, 1), "
                         f"got {train_fraction}")
     rng = SeededRng(seed)
-    classes = sorted(dataset.class_counts())
-    sizes = {c: int(np.sum(dataset.labels == c)) for c in classes}
+    sizes = dataset.class_counts()
+    classes = sorted(sizes)
     # largest-remainder allocation: per-class counts within 1 of the exact
     # proportion while the total matches round(fraction * N)
     target_total = int(round(train_fraction * len(dataset)))

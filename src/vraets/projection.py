@@ -234,10 +234,7 @@ def tsne(X: np.ndarray, perplexity: float = 30.0, iterations: int = 1000
          block sums its rows of it, and the KL is the two partial sums
          added in block order.
     Each block runs the same operations on either thread, so the bytes
-    do not depend on the core count. All n x n buffers are made on the
-    calling thread, the helper calls nothing that `vraebench/spans.py`
-    traces, and this function neither returns nor raises before the
-    helper's task of each phase ends.
+    do not depend on the core count.
     """
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
@@ -248,8 +245,7 @@ def tsne(X: np.ndarray, perplexity: float = 30.0, iterations: int = 1000
                         f"got {iterations}")
     P = tsne_affinities(X, perplexity)
 
-    k0 = min(2, X.shape[1], n - 1) if min(n, X.shape[1]) >= 2 else 1
-    init = pca(X, k0).points
+    init = pca(X, min(2, X.shape[1])).points
     if init.shape[1] < 2:
         init = np.hstack([init, np.zeros((n, 1))])
     spread = init[:, 0].std()
@@ -313,9 +309,13 @@ def tsne(X: np.ndarray, perplexity: float = 30.0, iterations: int = 1000
         exaggerating = it < TSNE_EXAGGERATION_ITERS
         momentum = 0.5 if exaggerating else 0.8
         record = it % 50 == 0 or it == iterations - 1
-        _on_both_blocks(affinities, Y.T.copy())
-        _on_both_blocks(gradient, Y, partial[0] + partial[1],
-                        exag_P if exaggerating else P, record)
+        coords = Y.T.copy()
+        with _helper.beside(affinities, 1, coords):
+            affinities(0, coords)
+        args = (Y, partial[0] + partial[1], exag_P if exaggerating else P,
+                record)
+        with _helper.beside(gradient, 1, *args):
+            gradient(0, *args)
         if record:
             kl_trace[it] = kl_part[0] + kl_part[1]
         velocity = momentum * velocity - TSNE_LEARNING_RATE * grad
@@ -329,15 +329,6 @@ def tsne(X: np.ndarray, perplexity: float = 30.0, iterations: int = 1000
                      {"perplexity": perplexity, "iterations": iterations,
                       "learning_rate": TSNE_LEARNING_RATE},
                      X.shape[1], extras={"kl_trace": kl_trace})
-
-
-def _on_both_blocks(fn, *args) -> None:
-    """fn(1, *args) on the helper thread while fn(0, *args) runs here."""
-    future = _helper.submit(fn, 1, *args)
-    try:
-        fn(0, *args)
-    finally:
-        future.result()
 
 
 def spectral_embedding(X: np.ndarray, k_neighbors: int = 10, dims: int = 2

@@ -16,6 +16,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from vraets.clustering import ClusterAssignment
+from vraets.dataset import LABEL_NORMAL
 from vraets.errors import DataError
 from vraets.numerics import sq_distances
 
@@ -150,8 +151,7 @@ def silhouette(X: np.ndarray, labels: np.ndarray) -> float:
 
 
 def anomaly_score(X: np.ndarray, assignment: ClusterAssignment,
-                  mapping: dict[int, int], normal_class: int = 0
-                  ) -> np.ndarray:
+                  mapping: dict[int, int]) -> np.ndarray:
     """Continuous anomaly score: d(x, normal centroid) - d(x, nearest
     abnormal-matched centroid). Larger means more anomalous."""
     if assignment.centroids is None:
@@ -162,8 +162,8 @@ def anomaly_score(X: np.ndarray, assignment: ClusterAssignment,
     if cents.shape[1:] != X.shape[1:]:
         raise DataError(f"anomaly_score: centroids have shape {cents.shape} "
                         f"for points of shape {X.shape}")
-    normal_ids = [cid for cid, cls in mapping.items() if cls == normal_class]
-    abnormal_ids = [cid for cid, cls in mapping.items() if cls != normal_class]
+    normal_ids = [cid for cid, cls in mapping.items() if cls == LABEL_NORMAL]
+    abnormal_ids = [cid for cid, cls in mapping.items() if cls != LABEL_NORMAL]
     if not normal_ids or not abnormal_ids:
         raise DataError("anomaly_score: need matched normal and abnormal "
                         "centroids")
@@ -208,8 +208,7 @@ class ScoreReport:
 
 
 def score_assignment(assignment: ClusterAssignment, truth: np.ndarray,
-                     points: np.ndarray | None = None,
-                     normal_class: int = 0) -> ScoreReport:
+                     points: np.ndarray | None = None) -> ScoreReport:
     """Match clusters to truth and compute the full metric set.
 
     AUC uses centroid-distance scores when centroids exist and both the
@@ -220,15 +219,15 @@ def score_assignment(assignment: ClusterAssignment, truth: np.ndarray,
     truth = np.asarray(truth, dtype=np.int64)
     mapping, matched = match_labels(assignment.labels, truth)
     metrics = classification_metrics(matched, truth)
-    binary_truth = (truth != normal_class).astype(np.int64)
+    binary_truth = (truth != LABEL_NORMAL).astype(np.int64)
     matched_classes = set(mapping.values())
     if (assignment.centroids is not None and points is not None
-            and normal_class in matched_classes and len(matched_classes) > 1):
-        scores = anomaly_score(points, assignment, mapping, normal_class)
+            and LABEL_NORMAL in matched_classes and len(matched_classes) > 1):
+        scores = anomaly_score(points, assignment, mapping)
         auc = auc_binary(scores, binary_truth)
     else:
         hard = np.where(matched == -1, -1,
-                        (matched != normal_class).astype(np.int64))
+                        (matched != LABEL_NORMAL).astype(np.int64))
         # noise (-1) predictions are "not flagged normal": count as positive
         hard = np.where(hard == -1, 1, hard)
         auc = auc_binary(hard, binary_truth, hard_labels=True)

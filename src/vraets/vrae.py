@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import numbers
 import warnings
-from concurrent.futures import wait
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -275,9 +274,7 @@ def backward(params: dict, cache: dict, config: VraeConfig
         posterior heads, then `enc_W[d:]`.
     Each sum is the same operation on the same operands as on one
     thread, and each key or row block of the result is written by one
-    thread only, so the bytes do not depend on the core count. The
-    helper calls nothing that `vraebench/spans.py` traces, and this
-    function neither returns nor raises before both of its tasks end.
+    thread only, so the bytes do not depend on the core count.
     """
     if cache is None or "enc" not in cache:
         raise DataError("backward: forward cache missing")
@@ -298,9 +295,8 @@ def backward(params: dict, cache: dict, config: VraeConfig
         dh_step.transpose(0, 2, 1), zeros, zeros, dec["gates"], dec["tanhc"],
         dec["c_all"], params["dec_W"])
     da_dec = da_all.transpose(0, 2, 1)
-    # scratch for the per-step products of the weight-gradient sums,
-    # made on this thread so that the helper's malloc arena keeps none
-    # of them; h_prod serves dec_W, then enc_W[d:]
+    # scratch for the per-step products of the weight-gradient sums;
+    # h_prod serves dec_W, then enc_W[d:]
     out_prod = np.empty((length, n_h, d))
     h_prod = np.empty((length, n_h, 4 * n_h))
     x_prod = np.empty((length, d, 4 * n_h))
@@ -312,8 +308,7 @@ def backward(params: dict, cache: dict, config: VraeConfig
         grads["dec_W"] += _outer_sum(h_all[:-1], da_dec, h_prod)
         grads["dec_b"] += da_dec.sum(axis=(0, 2))
 
-    futures = [_helper.submit(decoder_sums)]
-    try:
+    with _helper.beside(decoder_sums):
         # latent pathway
         z = dec["z"]
         dz = dh0 @ params["zh_W"].T + dc0 @ params["zc_W"].T
@@ -346,18 +341,13 @@ def backward(params: dict, cache: dict, config: VraeConfig
             enc["gates"], enc["tanhc"], enc["c_all"], params["enc_W"][d:])
         da_enc = da_all.transpose(0, 2, 1)
 
-        def encoder_input_sums():
-            grads["enc_W"][:d] += _outer_sum(enc["x"], da_enc, x_prod)
-            grads["enc_b"] += da_enc.sum(axis=(0, 2))
+    def encoder_input_sums():
+        grads["enc_W"][:d] += _outer_sum(enc["x"], da_enc, x_prod)
+        grads["enc_b"] += da_enc.sum(axis=(0, 2))
 
-        futures.append(_helper.submit(encoder_input_sums))
-        futures[0].result()             # dec_W's sum is done with h_prod
+    with _helper.beside(encoder_input_sums):
         grads["enc_W"][d:] += _outer_sum(
             enc["h_all"].transpose(0, 2, 1)[:-1], da_enc, h_prod)
-    finally:
-        wait(futures)
-    for future in futures:
-        future.result()
     return grads
 
 
@@ -495,7 +485,7 @@ def encode_dataset(checkpoint: Checkpoint, dataset: WindowedDataset
         raise DataError(f"encode: dataset has {dataset.n_features} features, "
                         f"checkpoint expects {config.input_dim}")
     mus = np.zeros((len(dataset), config.latent_dim))
-    bs = max(1, config.batch_size)
+    bs = config.batch_size
     for start in range(0, len(dataset), bs):
         xb = dataset.windows[start:start + bs]
         h_final, _ = encoder_forward(checkpoint.params, xb, config.hidden_units)

@@ -332,6 +332,31 @@ class TestExitCodes:
         assert line.split(" = ")[0] in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["bad.cfg"]
 
+    @pytest.mark.parametrize("n_points", [0, 1])
+    def test_default_eps_on_fewer_than_two_points_is_2(self, tmp_path, capsys,
+                                                      n_points):
+        # 0 points ended in a traceback, and 1 point wrote "eps":Infinity
+        emb = str(tmp_path / "emb")
+        projection.Embedding(np.zeros((n_points, 2)), "pca").save(
+            emb, np.zeros(n_points, dtype=np.int64))
+        code = main(["cluster", "--method", "dbscan", "--embedding", emb,
+                     "--out", str(tmp_path / "assign")])
+        assert code == 2
+        assert "cluster.eps" in capsys.readouterr().err
+        assert not (tmp_path / "assign").exists()
+
+    def test_explicit_eps_clusters_one_point(self, tmp_path):
+        emb, assign = str(tmp_path / "emb"), str(tmp_path / "assign")
+        projection.Embedding(np.zeros((1, 2)), "pca").save(
+            emb, np.zeros(1, dtype=np.int64))
+        cfg = tmp_path / "eps.cfg"
+        cfg.write_text("cluster.eps = 0.5\n")
+        assert main(["cluster", "--method", "dbscan", "--config", str(cfg),
+                     "--embedding", emb, "--out", assign]) == 0
+        loaded = clustering.ClusterAssignment.load(assign)
+        assert loaded.labels.tolist() == [-1]
+        assert loaded.params["eps"] == 0.5
+
     def test_negative_epochs_is_2(self, mini_config, pipeline_dir, tmp_path,
                                   capsys):
         code = main(["train", "--config", mini_config, "--epochs", "-3",
@@ -649,6 +674,18 @@ def test_cli_import_leaves_scipy_stats_unloaded():
             "('scipy.stats', 'scipy.cluster', 'scipy.sparse.csgraph')))")
     assert subprocess.run([sys.executable, "-c", code],
                           env=_env_with_src()).returncode == 0
+
+
+def test_cli_import_starts_no_thread_until_the_first_task():
+    code = ("import threading, vraets.cli\n"
+            "from vraets import _helper\n"
+            "assert threading.active_count() == 1, threading.enumerate()\n"
+            "with _helper.beside(int):\n"
+            "    pass\n"
+            "assert threading.active_count() == 2, threading.enumerate()\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=_env_with_src(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def _tsne_run(tmp_path):

@@ -248,6 +248,13 @@ class TestDbscan:
         kth = np.sort(d, axis=1)[:, 3]
         assert clustering.default_eps(X) == pytest.approx(float(np.median(kth)))
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_default_eps_needs_two_points(self, n):
+        # 0 points indexed column -2 of an empty array, and 1 point
+        # returned inf, which is not JSON
+        with pytest.raises(DataError, match="cluster.eps"):
+            clustering.default_eps(np.zeros((n, 2)))
+
     def test_errors(self):
         X = np.zeros((5, 2))
         with pytest.raises(DataError):

@@ -182,7 +182,7 @@ class TestAnomalyScore:
             labels=np.array([0, 1, 1]), method="kmeans",
             centroids=np.array([[0.0, 0.0], [10.0, 10.0]]))
         mapping = {0: 0, 1: 1}
-        s = scoring.anomaly_score(X, assignment, mapping, normal_class=0)
+        s = scoring.anomaly_score(X, assignment, mapping)
         assert s[0] < 0          # at the normal centroid
         assert s[1] > 0          # at the abnormal centroid
         assert s[2] > 0          # slightly nearer abnormal
