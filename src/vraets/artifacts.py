@@ -75,7 +75,6 @@ def replacing(path, binary: bool = False):
 _KINDS = {
     "any value": lambda v: True,
     "an integer": lambda v: type(v) is int,
-    "an integer >= 0": lambda v: type(v) is int and v >= 0,
     "an integer >= 1": lambda v: type(v) is int and v >= 1,
     "a string": lambda v: type(v) is str,
     "a list of strings": lambda v: type(v) is list and all(

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
+import re
 import warnings
 from dataclasses import dataclass, replace
 
@@ -38,9 +40,11 @@ class IceConfig:
     zone3_mass: float = 0.0
 
     def __post_init__(self):
+        # nan > 0 is false, so a NaN mass would read as no ice
         for m in self.masses():
-            if m < 0:
-                raise DataError(f"ice masses must be non-negative, got {self}")
+            if not (math.isfinite(m) and m >= 0):
+                raise DataError(f"ice masses must be finite and non-negative, "
+                                f"got {self}")
 
     def masses(self) -> tuple[float, float, float]:
         return (self.zone1_mass, self.zone2_mass, self.zone3_mass)
@@ -56,7 +60,8 @@ class IceConfig:
 
     @classmethod
     def parse(cls, text: str) -> "IceConfig":
-        parts = text.strip().split("-")
+        # a '-' after e/E is an exponent's sign: str() writes 1e-05-0-0
+        parts = re.split(r"(?<![eE])-", text.strip())
         if len(parts) != 3:
             raise DataError(f"bad ice mass string {text!r}, expected x-y-z")
         try:
@@ -92,10 +97,6 @@ class TimeSeriesRecord:
     @property
     def n_steps(self) -> int:
         return self.values.shape[0]
-
-    @property
-    def n_features(self) -> int:
-        return self.values.shape[1]
 
     def label(self) -> int:
         return self.config.label()
@@ -263,26 +264,22 @@ def read_metadata(path) -> dict[str, IceConfig]:
             raise DataError(f"{path}:{lineno}: duplicate sim_id "
                             f"{sim_id!r}, first on line "
                             f"{first_line[sim_id]}")
-        table[sim_id] = IceConfig.parse(parts[1])
+        try:
+            table[sim_id] = IceConfig.parse(parts[1])
+        except DataError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
         first_line[sim_id] = lineno
     return table
 
 
-def load_csv(path, metadata: dict[str, IceConfig] | str | None = None
-             ) -> TimeSeriesRecord:
-    """Loads one simulation CSV; sim_id is the file stem.
-
-    The metadata argument is either a parsed sidecar table or the sidecar
-    path; by default a `metadata.csv` next to the CSV is used. The data
-    rows are parsed by np.loadtxt where it is sure to agree with a
-    csv.reader + float() parse of each cell, and by that parse otherwise,
-    so every file gives the values and the DataError that parse gives.
+def load_csv(path, metadata: dict[str, IceConfig]) -> TimeSeriesRecord:
+    """Loads one simulation CSV; sim_id is the file stem, looked up in a
+    read_metadata table. The data rows are parsed by np.loadtxt where it
+    is sure to agree with a csv.reader + float() parse of each cell, and
+    by that parse otherwise, so every file gives the values and the
+    DataError that parse gives.
     """
     text = artifacts.read_text(path, "CSV file")
-    if metadata is None:
-        metadata = os.path.join(os.path.dirname(str(path)), "metadata.csv")
-    if not isinstance(metadata, dict):
-        metadata = read_metadata(metadata)
     sim_id = os.path.splitext(os.path.basename(str(path)))[0]
     if sim_id not in metadata:
         raise DataError(f"{path}: sim_id {sim_id!r} missing from metadata sidecar")
@@ -384,15 +381,10 @@ def fit_minmax(arrays) -> MinMaxScaler:
     return MinMaxScaler(mins=stacked.min(axis=0), maxs=stacked.max(axis=0))
 
 
-def window(record: TimeSeriesRecord, length: int, stride: int | None = None
+def window(record: TimeSeriesRecord, length: int, stride: int
            ) -> list[np.ndarray]:
-    """Slices a record into floor((T - L) / stride) + 1 windows of L steps.
-
-    Stride defaults to the window length (non-overlapping); the trailing
-    remainder is dropped.
-    """
-    if stride is None:
-        stride = length
+    """Slices a record into floor((T - L) / stride) + 1 windows of L steps;
+    the trailing remainder is dropped."""
     if length > record.n_steps:
         raise DataError(f"{record.sim_id}: window length {length} exceeds "
                         f"{record.n_steps} time steps")
@@ -402,8 +394,7 @@ def window(record: TimeSeriesRecord, length: int, stride: int | None = None
     return [record.values[i * stride: i * stride + length] for i in range(count)]
 
 
-def build_windows(records, length: int, stride: int | None = None
-                  ) -> WindowedDataset:
+def build_windows(records, length: int, stride: int) -> WindowedDataset:
     """Windows every record; each window inherits its record's label."""
     chunks, labels = [], []
     feature_names = None
@@ -418,8 +409,7 @@ def build_windows(records, length: int, stride: int | None = None
     if feature_names is None:
         raise DataError("build_windows: no records")
     return WindowedDataset(np.stack(chunks), np.array(labels, dtype=np.int64),
-                           length, stride if stride is not None else length,
-                           feature_names)
+                           length, stride, feature_names)
 
 
 def split(dataset: WindowedDataset, train_fraction: float, seed: int

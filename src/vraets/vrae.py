@@ -17,7 +17,6 @@ suite. Everything is float64 numpy and deterministic under a seed.
 from __future__ import annotations
 
 import numbers
-import warnings
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -143,26 +142,25 @@ def init_weights(config: VraeConfig, rng: SeededRng) -> dict[str, np.ndarray]:
     return params
 
 
-def encoder_forward(params: dict, x: np.ndarray, n_hidden: int):
+def encoder_forward(params: dict, x: np.ndarray):
     """Runs the encoder LSTM over a (B, L, d) batch from zero state.
 
-    Returns the final hidden state (B, n_hidden) and the state cache
-    needed by the backward pass, which includes an (L, d, B) copy of the
-    input. The input projection W_x^T x_t is computed from that copy for
-    all timesteps in one matmul, straight into the kernels' batch-innermost
-    storage; the recurrence itself runs in `_kernels.lstm_forward`.
+    Returns the final hidden state (B, H), H from `enc_W`, and the state
+    cache needed by the backward pass, which includes an (L, d, B) copy of
+    the input. The input projection W_x^T x_t is computed from that copy
+    for all timesteps in one matmul, straight into the kernels'
+    batch-innermost storage; the recurrence runs in `_kernels.lstm_forward`.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 2:
-        x = x[None]
     batch, length, d = x.shape
-    if params["enc_W"].shape[0] != d + n_hidden:
+    n_h = params["enc_W"].shape[1] // 4
+    if params["enc_W"].shape[0] != d + n_h:
         raise DataError(f"encoder expects input dim "
-                        f"{params['enc_W'].shape[0] - n_hidden}, got {d}")
+                        f"{params['enc_W'].shape[0] - n_h}, got {d}")
     x_tm = np.ascontiguousarray(x.transpose(1, 2, 0))
     x_proj = np.matmul(params["enc_W"][:d].T, x_tm)
     x_proj += params["enc_b"][:, None]
-    zeros = np.zeros((batch, n_hidden))
+    zeros = np.zeros((batch, n_h))
     h_all, c_all, gates, tanhc = _kernels.lstm_forward(
         x_proj.transpose(0, 2, 1), params["enc_W"][d:], zeros, zeros)
     cache = {"h_all": h_all, "c_all": c_all, "gates": gates, "tanhc": tanhc,
@@ -178,16 +176,14 @@ def posterior_params(params: dict, h_final: np.ndarray):
     return mu, sigma, s_pre
 
 
-def decoder_forward(params: dict, z: np.ndarray, length: int, n_hidden: int):
-    """Decodes z into an (B, L, d) reconstruction; zero decoder inputs."""
+def decoder_forward(params: dict, z: np.ndarray, length: int):
+    """Decodes a (B, latent) batch z into (B, L, d); zero decoder inputs."""
     z = np.asarray(z, dtype=np.float64)
-    if z.ndim == 1:
-        z = z[None]
     h0 = z @ params["zh_W"] + params["zh_b"]
     c0 = z @ params["zc_W"] + params["zc_b"]
-    batch = z.shape[0]
     # zero inputs: the input-side pre-activation is the bias at every step
-    x_proj = np.broadcast_to(params["dec_b"], (length, batch, 4 * n_hidden))
+    x_proj = np.broadcast_to(params["dec_b"],
+                             (length, z.shape[0]) + params["dec_b"].shape)
     h_all, c_all, gates, tanhc = _kernels.lstm_forward(
         x_proj, params["dec_W"], h0, c0)
     # (L, d, B), like the encoder's input copy
@@ -232,9 +228,7 @@ def forward(params: dict, x: np.ndarray, config: VraeConfig,
             dropout_mask: np.ndarray | None = None):
     """Full forward pass of a batch; returns losses and the backprop cache."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 2:
-        x = x[None]
-    h_final, enc_cache = encoder_forward(params, x, config.hidden_units)
+    h_final, enc_cache = encoder_forward(params, x)
     if dropout_mask is not None:
         keep = 1.0 - config.dropout_rate
         drop_scale = dropout_mask / keep
@@ -243,7 +237,7 @@ def forward(params: dict, x: np.ndarray, config: VraeConfig,
     h_drop = h_final * drop_scale
     mu, sigma, s_pre = posterior_params(params, h_drop)
     z = mu + sigma * epsilon
-    xhat, dec_cache = decoder_forward(params, z, x.shape[1], config.hidden_units)
+    xhat, dec_cache = decoder_forward(params, z, x.shape[1])
     total, recon, kl = loss(x, xhat, mu, sigma, beta)
     cache = {"x": x, "mu": mu, "sigma": sigma, "s_pre": s_pre,
              "epsilon": epsilon, "z": z, "h_final": h_final, "h_drop": h_drop,
@@ -488,54 +482,8 @@ def encode_dataset(checkpoint: Checkpoint, dataset: WindowedDataset
     bs = config.batch_size
     for start in range(0, len(dataset), bs):
         xb = dataset.windows[start:start + bs]
-        h_final, _ = encoder_forward(checkpoint.params, xb, config.hidden_units)
+        h_final, _ = encoder_forward(checkpoint.params, xb)
         mu, _, _ = posterior_params(checkpoint.params, h_final)
         mus[start:start + bs] = mu
     return mus, dataset.labels.copy()
 
-
-def latent_line_report(latents: np.ndarray, labels: np.ndarray,
-                       samples_per_class: int = 15) -> dict:
-    """Per-dimension class means, sample traces, and separation ranking.
-
-    Separation of a dimension is the largest pairwise
-    |class mean difference| / pooled standard deviation.
-    """
-    latents = np.asarray(latents, dtype=np.float64)
-    labels = np.asarray(labels)
-    classes = np.unique(labels)
-    if len(classes) < 2:
-        raise DataError("latent_line_report: need at least two classes")
-    means = {}
-    stds = {}
-    counts = {}
-    traces = {}
-    for cls in classes:
-        rows = latents[labels == cls]
-        means[int(cls)] = rows.mean(axis=0)
-        stds[int(cls)] = rows.std(axis=0, ddof=1) if len(rows) > 1 \
-            else np.zeros(latents.shape[1])
-        counts[int(cls)] = len(rows)
-        take = min(samples_per_class, len(rows))
-        if take < samples_per_class:
-            warnings.warn(f"class {cls}: only {len(rows)} samples available, "
-                          f"requested {samples_per_class}")
-        traces[int(cls)] = rows[:take]
-    n_dims = latents.shape[1]
-    separation = np.zeros(n_dims)
-    cls_list = [int(c) for c in classes]
-    for ai in range(len(cls_list)):
-        for bi in range(ai + 1, len(cls_list)):
-            a, b = cls_list[ai], cls_list[bi]
-            na, nb = counts[a], counts[b]
-            pooled_var = ((max(na - 1, 0) * stds[a] ** 2 +
-                           max(nb - 1, 0) * stds[b] ** 2) /
-                          max(na + nb - 2, 1))
-            pooled = np.sqrt(pooled_var)
-            diff = np.abs(means[a] - means[b])
-            score = np.where(pooled > 0, diff / np.where(pooled > 0, pooled, 1.0),
-                             np.where(diff > 0, np.inf, 0.0))
-            separation = np.maximum(separation, score)
-    return {"class_means": means, "class_traces": traces,
-            "separation": separation,
-            "ranked_dimensions": list(np.argsort(-separation))}

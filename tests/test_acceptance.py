@@ -10,6 +10,7 @@ bounds.
 import json
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -144,8 +145,8 @@ class TestTwoClassExperiment:
 
     def test_both_clusterers_reach_090(self, two_class_pipeline):
         for key in ("kmeans.scores", "hier.scores"):
-            report = json.load(open(os.path.join(two_class_pipeline[key],
-                                                 "report.json")))
+            report = json.loads(Path(two_class_pipeline[key],
+                                     "report.json").read_text())
             assert report["metrics"]["accuracy"] >= 0.90, key
 
     def test_runtime_under_ten_minutes(self, two_class_pipeline):
@@ -155,8 +156,8 @@ class TestTwoClassExperiment:
     def test_weighted_recall_equals_accuracy_on_reports(self,
                                                         two_class_pipeline):
         for key in ("kmeans.scores", "hier.scores"):
-            metrics = json.load(open(os.path.join(
-                two_class_pipeline[key], "report.json")))["metrics"]
+            metrics = json.loads(Path(
+                two_class_pipeline[key], "report.json").read_text())["metrics"]
             assert abs(metrics["recall"] - metrics["accuracy"]) < 1e-12
 
 
@@ -351,7 +352,6 @@ class TestDeterminism:
             assert main(["score", *common, "--assignment", paths["assign"],
                          "--embedding", paths["emb"],
                          "--out", paths["scores"]]) == 0
-            return open(os.path.join(paths["scores"], "report.json"),
-                        "rb").read()
+            return Path(paths["scores"], "report.json").read_bytes()
 
         assert run("first") == run("second")

@@ -249,7 +249,8 @@ class TestManifest:
         inp.write_bytes(b"hello")
         man_path = artifacts.write_manifest(art, {"key": 1, "seed": 42},
                                             {"input": str(inp)})
-        manifest = json.loads(open(man_path).read())
+        with open(man_path) as fh:
+            manifest = json.load(fh)
         assert manifest["artifact"] == "x.artifact"
         assert manifest["seed"] == 42
         assert manifest["config"] == {"key": 1, "seed": 42}

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 from xml.dom import minidom
 
 import numpy as np
@@ -85,18 +86,19 @@ class TestPipelineStages:
         assert train.windows.max() <= 1.0 + 1e-12
 
     def test_score_report_files(self, pipeline_dir):
-        report = json.load(open(os.path.join(pipeline_dir["scores"],
-                                             "report.json")))
+        report = json.loads(Path(pipeline_dir["scores"],
+                                 "report.json").read_text())
         metrics = report["metrics"]
         assert set(metrics) == {"accuracy", "auc", "precision", "recall", "f1"}
         for v in metrics.values():
             assert 0.0 <= v <= 1.0
         assert abs(metrics["recall"] - metrics["accuracy"]) < 1e-12
-        table = open(os.path.join(pipeline_dir["scores"], "report.txt")).read()
+        table = Path(pipeline_dir["scores"], "report.txt").read_text()
         assert "Accuracy" in table
 
     def test_manifests_written_with_hashes(self, pipeline_dir):
-        man = json.load(open(pipeline_dir["latents"] + ".manifest.json"))
+        man = json.loads(Path(pipeline_dir["latents"]
+                              + ".manifest.json").read_text())
         assert man["seed"] == 11
         assert set(man["input_hashes"]) == {"checkpoint", "data"}
         for h in man["input_hashes"].values():
@@ -221,19 +223,18 @@ class TestDeterminism:
         assert main(["preprocess", *common, "--data", pipeline_dir["data"],
                      "--out", prep]) == 0
         for name in ("train.windows", "test.windows"):
-            a = open(os.path.join(pipeline_dir["prep"], name), "rb").read()
-            b = open(os.path.join(prep, name), "rb").read()
-            assert a == b, name
+            assert Path(pipeline_dir["prep"], name).read_bytes() \
+                == Path(prep, name).read_bytes(), name
         assert main(["train", *common,
                      "--train-data", os.path.join(prep, "train.windows"),
                      "--out", ckpt]) == 0
-        assert open(pipeline_dir["model.ckpt"], "rb").read() \
-            == open(ckpt, "rb").read()
+        assert Path(pipeline_dir["model.ckpt"]).read_bytes() \
+            == Path(ckpt).read_bytes()
         assert main(["encode", *common, "--checkpoint", ckpt,
                      "--data", os.path.join(prep, "test.windows"),
                      "--out", latents]) == 0
-        assert open(pipeline_dir["latents"], "rb").read() \
-            == open(latents, "rb").read()
+        assert Path(pipeline_dir["latents"]).read_bytes() \
+            == Path(latents).read_bytes()
 
 
 class TestExitCodes:
@@ -396,6 +397,25 @@ class TestExitCodes:
                      str(data), "--out", str(tmp_path / "prep")])
         assert code == 2
         assert f"{name}: not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mass", ["nan-0-0", "inf-0-0"])
+    def test_non_finite_ice_mass_is_2(self, pipeline_dir, mini_config,
+                                      tmp_path, capsys, mass):
+        # nan > 0 is false: a NaN mass would count an iced sim as healthy
+        data = tmp_path / "data"
+        shutil.copytree(pipeline_dir["data"], data)
+        meta = data / "metadata.csv"
+        lines = meta.read_text().splitlines()
+        lineno = next(i for i, line in enumerate(lines, start=1)
+                      if line.startswith("sim_014,"))
+        lines[lineno - 1] = f"sim_014,{mass}"
+        meta.write_text("\n".join(lines) + "\n")
+        code = main(["preprocess", "--config", mini_config, "--data",
+                     str(data), "--out", str(tmp_path / "prep")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"metadata.csv:{lineno}:" in err and "finite" in err
+        assert not (tmp_path / "prep").exists()
 
     def test_non_utf8_config_is_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

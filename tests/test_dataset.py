@@ -42,6 +42,30 @@ class TestIceConfig:
     def test_roundtrip_string(self):
         assert str(IceConfig.parse("0-0.5-0")) == "0-0.5-0"
 
+    @pytest.mark.parametrize("mass", [1e-5, 2.5e-7, 1e20])
+    @pytest.mark.parametrize("zone", [0, 2])
+    def test_exponent_masses_read_back(self, mass, zone):
+        masses = [0.0, 0.0, 0.0]
+        masses[zone] = mass
+        ice = IceConfig(*masses)
+        assert IceConfig.parse(str(ice)) == ice
+
+    @pytest.mark.parametrize("masses", [
+        (float("nan"), 0, 0), (0, float("inf"), 0), (0, 0, -float("inf"))])
+    def test_non_finite_mass_rejected(self, masses):
+        with pytest.raises(DataError, match="finite"):
+            IceConfig(*masses)
+
+    @pytest.mark.parametrize("text, why", [
+        ("nan-0-0", "finite"), ("0-inf-0", "finite"),
+        ("abc-0-0", "bad ice mass string"),
+        ("0-0", "expected x-y-z"), ("-1-0-0", "expected x-y-z")])
+    def test_metadata_mass_error_names_line(self, tmp_path, text, why):
+        meta = tmp_path / "metadata.csv"
+        meta.write_text(f"sim_000,0-0-0\nsim_014,{text}\n")
+        with pytest.raises(DataError, match=rf"metadata\.csv:2: .*{why}"):
+            dataset.read_metadata(meta)
+
 
 class TestSynthesize:
     def test_noise_free_baseline_has_blade_symmetry(self):
@@ -88,45 +112,51 @@ class TestSynthesize:
         assert rec.feature_names == FEATURE_NAMES
 
 
+def load_beside_metadata(path):
+    """load_csv with the table of the metadata.csv next to `path`."""
+    return dataset.load_csv(path, dataset.read_metadata(
+        path.parent / "metadata.csv"))
+
+
 class TestCsvRoundtrip:
     def test_roundtrip(self, tmp_path):
         rec = make_record([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]],
                           sim_id="sim_001", ice=IceConfig(0.4, 0, 0))
         dataset.save_csv(rec, tmp_path / "sim_001.csv")
         (tmp_path / "metadata.csv").write_text("sim_001,0.4-0-0\n")
-        loaded = dataset.load_csv(tmp_path / "sim_001.csv")
-        assert loaded.n_steps == 3 and loaded.n_features == 2
+        loaded = load_beside_metadata(tmp_path / "sim_001.csv")
+        assert loaded.values.shape == (3, 2)
         assert loaded.config == IceConfig(0.4, 0, 0)
         np.testing.assert_array_equal(loaded.values, rec.values)
 
     def test_metadata_masses_parsed(self, tmp_path):
         (tmp_path / "s.csv").write_text("a,b\n1,2\n")
         (tmp_path / "metadata.csv").write_text("s,0.4-0.6-0.8\n")
-        rec = dataset.load_csv(tmp_path / "s.csv")
+        rec = load_beside_metadata(tmp_path / "s.csv")
         assert rec.config == IceConfig(0.4, 0.6, 0.8)
 
     def test_zero_config_is_normal(self, tmp_path):
         (tmp_path / "s.csv").write_text("a\n1\n")
         (tmp_path / "metadata.csv").write_text("s,0-0-0\n")
-        assert dataset.load_csv(tmp_path / "s.csv").label() == 0
+        assert load_beside_metadata(tmp_path / "s.csv").label() == 0
 
     def test_bad_cell_reports_location(self, tmp_path):
         (tmp_path / "s.csv").write_text("a,b\n1,2\n3,oops\n")
         (tmp_path / "metadata.csv").write_text("s,0-0-0\n")
         with pytest.raises(DataError, match=r"s\.csv:3.*'b'"):
-            dataset.load_csv(tmp_path / "s.csv")
+            load_beside_metadata(tmp_path / "s.csv")
 
     def test_ragged_row_rejected(self, tmp_path):
         (tmp_path / "s.csv").write_text("a,b\n1,2\n3\n")
         (tmp_path / "metadata.csv").write_text("s,0-0-0\n")
         with pytest.raises(DataError, match="ragged"):
-            dataset.load_csv(tmp_path / "s.csv")
+            load_beside_metadata(tmp_path / "s.csv")
 
     def test_missing_metadata_entry(self, tmp_path):
         (tmp_path / "s.csv").write_text("a\n1\n")
         (tmp_path / "metadata.csv").write_text("other,0-0-0\n")
         with pytest.raises(DataError, match="missing from metadata"):
-            dataset.load_csv(tmp_path / "s.csv")
+            load_beside_metadata(tmp_path / "s.csv")
 
     def test_duplicate_sim_id_names_both_lines(self, tmp_path):
         meta = tmp_path / "metadata.csv"
@@ -327,7 +357,7 @@ class TestSelectFeatures:
         names = FEATURE_NAMES + [f"other{i}" for i in range(21)]
         rec = make_record(values, names=names)
         out = dataset.select_features(rec, FEATURE_NAMES)
-        assert out.n_features == 6
+        assert out.values.shape == (4, 6)
 
 
 class TestMinMax:

@@ -1,13 +1,16 @@
 """The demos still name what vraets has. They train for minutes, so they
 are parsed here, not run: every name a demo imports from vraets, and
-every attribute it reads off a vraets module, must exist."""
+every attribute it reads off a vraets module, must exist. A demo's own
+helpers are loaded without running its main."""
 
 import ast
 import glob
 import importlib
+import importlib.util
 import os
 import types
 
+import numpy as np
 import pytest
 
 DEMOS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), os.pardir,
@@ -50,3 +53,31 @@ def test_demo_names_exist(path):
             missing.append(f"{modules[node.value.id].__name__}.{node.attr}")
     assert modules
     assert missing == []
+
+
+def _load_demo(name: str):
+    path = os.path.join(os.path.dirname(DEMOS[0]), f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"demo_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestClassSeparation:
+    def test_identical_classes_score_zero(self):
+        demo = _load_demo("latent_analysis")
+        latents = np.tile(np.arange(4.0), (10, 1))
+        labels = np.array([0] * 5 + [1] * 5)
+        means, separation = demo.class_separation(latents, labels)
+        np.testing.assert_array_equal(separation, np.zeros(4))
+        np.testing.assert_array_equal(means[0], np.arange(4.0))
+
+    def test_separating_dimension_ranked_first(self):
+        demo = _load_demo("latent_analysis")
+        rng = np.random.default_rng(0)
+        latents = rng.normal(size=(40, 6))
+        labels = np.array([0] * 20 + [1] * 20)
+        latents[:20, 3] = 1.0 + 0.01 * rng.normal(size=20)
+        latents[20:, 3] = -1.0 + 0.01 * rng.normal(size=20)
+        _, separation = demo.class_separation(latents, labels)
+        assert np.argsort(-separation)[0] == 3

@@ -16,7 +16,7 @@ from vraets.numerics import SeededRng, finite_difference_gradient
 from vraets.vrae import (AnnealSchedule, Checkpoint, VraeConfig, backward,
                          beta_at, decoder_forward, encode_dataset,
                          encoder_forward, forward, init_weights,
-                         kl_divergence, latent_line_report, loss,
+                         kl_divergence, loss,
                          posterior_params, train)
 
 TINY = VraeConfig(input_dim=2, hidden_units=4, latent_dim=3,
@@ -39,13 +39,13 @@ class TestEncoderForward:
     def test_zero_weights_give_zero_state(self):
         params = {k: np.zeros_like(v) for k, v in tiny_params().items()}
         x = np.random.default_rng(0).normal(size=(3, 5, 2))
-        h, _ = encoder_forward(params, x, TINY.hidden_units)
+        h, _ = encoder_forward(params, x)
         np.testing.assert_array_equal(h, np.zeros((3, 4)))
 
     def test_length_one_equals_single_cell_step(self):
         params = tiny_params()
         x = np.random.default_rng(1).normal(size=(1, 1, 2))
-        h_full, _ = encoder_forward(params, x, 4)
+        h_full, _ = encoder_forward(params, x)
         # manual single LSTM step from zero state
         inp = np.concatenate([x[0], np.zeros((1, 4))], axis=1)
         a = inp @ params["enc_W"] + params["enc_b"]
@@ -58,13 +58,13 @@ class TestEncoderForward:
     def test_deterministic(self):
         params = tiny_params()
         x = np.random.default_rng(2).normal(size=(2, 5, 2))
-        h1, _ = encoder_forward(params, x, 4)
-        h2, _ = encoder_forward(params, x, 4)
+        h1, _ = encoder_forward(params, x)
+        h2, _ = encoder_forward(params, x)
         np.testing.assert_array_equal(h1, h2)
 
     def test_dim_mismatch(self):
         with pytest.raises(DataError):
-            encoder_forward(tiny_params(), np.zeros((1, 5, 7)), 4)
+            encoder_forward(tiny_params(), np.zeros((1, 5, 7)))
 
 
 class TestPosteriorParams:
@@ -106,18 +106,18 @@ class TestReparameterize:
 class TestDecoderForward:
     def test_zero_weights_give_zero_output(self):
         params = {k: np.zeros_like(v) for k, v in tiny_params().items()}
-        xhat, _ = decoder_forward(params, np.ones(3), 5, 4)
+        xhat, _ = decoder_forward(params, np.ones((1, 3)), 5)
         np.testing.assert_array_equal(xhat, np.zeros((1, 5, 2)))
 
     def test_deterministic_given_z(self):
         params = tiny_params()
-        z = np.array([0.3, -0.7, 1.1])
-        a, _ = decoder_forward(params, z, 6, 4)
-        b, _ = decoder_forward(params, z, 6, 4)
+        z = np.array([[0.3, -0.7, 1.1]])
+        a, _ = decoder_forward(params, z, 6)
+        b, _ = decoder_forward(params, z, 6)
         np.testing.assert_array_equal(a, b)
 
     def test_zero_length(self):
-        xhat, _ = decoder_forward(tiny_params(), np.zeros(3), 0, 4)
+        xhat, _ = decoder_forward(tiny_params(), np.zeros((1, 3)), 0)
         assert xhat.shape == (1, 0, 2)
 
 
@@ -568,34 +568,6 @@ class TestEncodeDataset:
         a, _ = encode_dataset(ckpt, ds)
         b, _ = encode_dataset(ckpt, ds)
         np.testing.assert_array_equal(a, b)
-
-
-class TestLatentLineReport:
-    def test_identical_classes_score_zero(self):
-        latents = np.tile(np.arange(4.0), (10, 1))
-        labels = np.array([0] * 5 + [1] * 5)
-        report = latent_line_report(latents, labels, samples_per_class=3)
-        np.testing.assert_array_equal(report["separation"], np.zeros(4))
-
-    def test_separating_dimension_ranked_first(self):
-        rng = np.random.default_rng(0)
-        latents = rng.normal(size=(40, 6))
-        labels = np.array([0] * 20 + [1] * 20)
-        latents[:20, 3] = 1.0 + 0.01 * rng.normal(size=20)
-        latents[20:, 3] = -1.0 + 0.01 * rng.normal(size=20)
-        report = latent_line_report(latents, labels)
-        assert report["ranked_dimensions"][0] == 3
-
-    def test_oversized_request_clamped_with_warning(self):
-        latents = np.random.default_rng(1).normal(size=(6, 2))
-        labels = np.array([0, 0, 0, 1, 1, 1])
-        with pytest.warns(UserWarning):
-            report = latent_line_report(latents, labels, samples_per_class=10)
-        assert len(report["class_traces"][0]) == 3
-
-    def test_single_class_rejected(self):
-        with pytest.raises(DataError):
-            latent_line_report(np.zeros((4, 2)), np.zeros(4))
 
 
 # Reference LSTM kernels for TestKernelPaths. `_scalar_*` are per-element
