@@ -234,6 +234,15 @@ def cmd_score(args, cfg: dict) -> None:
     if labels is None:
         raise DataError(f"{args.embedding}: embedding artifact carries no "
                         "ground-truth labels")
+    if len(assignment.labels) != len(labels):
+        raise DataError(f"{args.assignment}: {len(assignment.labels)} cluster "
+                        f"labels for the {len(labels)} points of "
+                        f"{args.embedding}")
+    cents = assignment.centroids
+    if cents is not None and cents.shape[1] != emb.points.shape[1]:
+        raise DataError(f"{args.assignment}: centroids have shape "
+                        f"{cents.shape} for the {emb.points.shape[1]}-D "
+                        f"points of {args.embedding}")
     report = scoring.score_assignment(assignment, labels, emb.points)
     os.makedirs(args.out, exist_ok=True)
     json_path = os.path.join(args.out, "report.json")

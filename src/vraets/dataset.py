@@ -45,18 +45,16 @@ class IceConfig:
             if not (math.isfinite(m) and m >= 0):
                 raise DataError(f"ice masses must be finite and non-negative, "
                                 f"got {self}")
+        if sum(m > 0 for m in self.masses()) > 1:
+            raise DataError(f"ice in more than one zone ({self})")
 
     def masses(self) -> tuple[float, float, float]:
         return (self.zone1_mass, self.zone2_mass, self.zone3_mass)
 
     def label(self) -> int:
         """0 for no ice anywhere, else the 1-based index of the iced zone."""
-        nonzero = [i for i, m in enumerate(self.masses(), start=1) if m > 0]
-        if not nonzero:
-            return LABEL_NORMAL
-        if len(nonzero) > 1:
-            raise DataError(f"ambiguous label: ice in multiple zones ({self})")
-        return nonzero[0]
+        return next((i for i, m in enumerate(self.masses(), start=1) if m > 0),
+                    LABEL_NORMAL)
 
     @classmethod
     def parse(cls, text: str) -> "IceConfig":
@@ -109,15 +107,8 @@ class MinMaxScaler:
     mins: np.ndarray
     maxs: np.ndarray
 
-    @property
-    def n_features(self) -> int:
-        return self.mins.shape[0]
-
     def transform(self, values: np.ndarray) -> np.ndarray:
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape[-1] != self.n_features:
-            raise DataError(f"scaler expects {self.n_features} features, "
-                            f"got {values.shape[-1]}")
+        """Scales a float64 array whose last axis holds the features."""
         span = self.maxs - self.mins
         safe = np.where(span > 0, span, 1.0)
         scaled = 2.0 * (values - self.mins) / safe - 1.0

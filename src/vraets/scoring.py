@@ -40,9 +40,6 @@ def match_labels(pred: np.ndarray, truth: np.ndarray
     """
     pred = np.asarray(pred, dtype=np.int64)
     truth = np.asarray(truth, dtype=np.int64)
-    if pred.shape != truth.shape:
-        raise DataError(f"match_labels: length mismatch "
-                        f"{pred.shape} vs {truth.shape}")
     true_classes = sorted(set(truth.tolist()))
     pred_classes = sorted(c for c in set(pred.tolist()) if c != -1)
     if not pred_classes:
@@ -70,8 +67,6 @@ def classification_metrics(matched_pred: np.ndarray, truth: np.ndarray
     n = len(truth)
     if n == 0:
         raise DataError("classification_metrics: empty input")
-    if matched_pred.shape != truth.shape:
-        raise DataError("classification_metrics: length mismatch")
     classes = sorted(set(truth.tolist()))
     accuracy = float(np.mean(matched_pred == truth))
     per_class = {}
@@ -103,8 +98,6 @@ def auc_binary(values: np.ndarray, truth: np.ndarray,
     """
     values = np.asarray(values, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.int64)
-    if values.shape != truth.shape:
-        raise DataError("auc_binary: length mismatch")
     pos = truth == 1
     neg = truth == 0
     if not pos.any() or not neg.any():
@@ -153,20 +146,13 @@ def silhouette(X: np.ndarray, labels: np.ndarray) -> float:
 def anomaly_score(X: np.ndarray, assignment: ClusterAssignment,
                   mapping: dict[int, int]) -> np.ndarray:
     """Continuous anomaly score: d(x, normal centroid) - d(x, nearest
-    abnormal-matched centroid). Larger means more anomalous."""
-    if assignment.centroids is None:
-        raise DataError("anomaly_score: assignment has no centroids "
-                        "(density-based methods fall back to hard-label AUC)")
+    abnormal-matched centroid), for centroids as wide as X and a mapping
+    that matches the normal and some abnormal class. Larger means more
+    anomalous."""
     X = np.asarray(X, dtype=np.float64)
     cents = assignment.centroids
-    if cents.shape[1:] != X.shape[1:]:
-        raise DataError(f"anomaly_score: centroids have shape {cents.shape} "
-                        f"for points of shape {X.shape}")
     normal_ids = [cid for cid, cls in mapping.items() if cls == LABEL_NORMAL]
     abnormal_ids = [cid for cid, cls in mapping.items() if cls != LABEL_NORMAL]
-    if not normal_ids or not abnormal_ids:
-        raise DataError("anomaly_score: need matched normal and abnormal "
-                        "centroids")
     return (np.sqrt(sq_distances(X, cents[normal_ids])).min(axis=1)
             - np.sqrt(sq_distances(X, cents[abnormal_ids])).min(axis=1))
 

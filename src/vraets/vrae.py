@@ -63,9 +63,7 @@ class AnnealSchedule:
 
 
 def beta_at(schedule: AnnealSchedule, global_step: int, total_steps: int) -> float:
-    """KL weight at a training step; linear ramp then hold, per cycle."""
-    if not 0 <= global_step < total_steps:
-        raise DataError(f"step {global_step} outside [0, {total_steps})")
+    """KL weight at a step in [0, total_steps); per cycle, ramp then hold."""
     if schedule.mode == "constant":
         return schedule.beta_max
     cycle_len = total_steps / schedule.cycles
@@ -97,6 +95,9 @@ class VraeConfig:
             raise DataError("dropout_rate must be in [0, 1)")
         if self.learning_rate <= 0:
             raise DataError("learning_rate must be positive")
+        # written so that NaN, which a checkpoint's JSON can hold, fails too
+        if not self.clip_norm > 0:
+            raise DataError(f"clip_norm must be positive, got {self.clip_norm}")
         if self.epochs < 1:
             raise DataError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -143,7 +144,8 @@ def init_weights(config: VraeConfig, rng: SeededRng) -> dict[str, np.ndarray]:
 
 
 def encoder_forward(params: dict, x: np.ndarray):
-    """Runs the encoder LSTM over a (B, L, d) batch from zero state.
+    """Runs the encoder LSTM over a float64 (B, L, d) batch from zero state;
+    `enc_W` has d + H rows.
 
     Returns the final hidden state (B, H), H from `enc_W`, and the state
     cache needed by the backward pass, which includes an (L, d, B) copy of
@@ -151,12 +153,8 @@ def encoder_forward(params: dict, x: np.ndarray):
     for all timesteps in one matmul, straight into the kernels'
     batch-innermost storage; the recurrence runs in `_kernels.lstm_forward`.
     """
-    x = np.asarray(x, dtype=np.float64)
     batch, length, d = x.shape
     n_h = params["enc_W"].shape[1] // 4
-    if params["enc_W"].shape[0] != d + n_h:
-        raise DataError(f"encoder expects input dim "
-                        f"{params['enc_W'].shape[0] - n_h}, got {d}")
     x_tm = np.ascontiguousarray(x.transpose(1, 2, 0))
     x_proj = np.matmul(params["enc_W"][:d].T, x_tm)
     x_proj += params["enc_b"][:, None]
@@ -178,7 +176,6 @@ def posterior_params(params: dict, h_final: np.ndarray):
 
 def decoder_forward(params: dict, z: np.ndarray, length: int):
     """Decodes a (B, latent) batch z into (B, L, d); zero decoder inputs."""
-    z = np.asarray(z, dtype=np.float64)
     h0 = z @ params["zh_W"] + params["zh_b"]
     c0 = z @ params["zc_W"] + params["zc_b"]
     # zero inputs: the input-side pre-activation is the bias at every step
@@ -196,14 +193,8 @@ def decoder_forward(params: dict, z: np.ndarray, length: int):
 
 
 def kl_divergence(mu: np.ndarray, sigma: np.ndarray) -> float:
-    """Closed-form KL(N(mu, diag sigma^2) || N(0, I)), summed over dims.
-
-    For batched inputs the mean over the batch is returned.
-    """
-    mu = np.atleast_2d(np.asarray(mu, dtype=np.float64))
-    sigma = np.atleast_2d(np.asarray(sigma, dtype=np.float64))
-    if np.any(sigma <= 0):
-        raise DataError("kl_divergence: sigma must be positive")
+    """Closed-form KL(N(mu, diag sigma^2) || N(0, I)) of (B, latent)
+    batches, summed over dims and averaged over the batch."""
     per_sample = 0.5 * np.sum(mu ** 2 + sigma ** 2 - np.log(sigma ** 2) - 1.0,
                               axis=1)
     return float(np.mean(per_sample))
@@ -212,12 +203,6 @@ def kl_divergence(mu: np.ndarray, sigma: np.ndarray) -> float:
 def loss(x: np.ndarray, xhat: np.ndarray, mu: np.ndarray, sigma: np.ndarray,
          beta: float) -> tuple[float, float, float]:
     """(total, reconstruction, kl); recon = mean squared error per entry."""
-    x = np.asarray(x, dtype=np.float64)
-    xhat = np.asarray(xhat, dtype=np.float64)
-    if x.shape != xhat.shape:
-        raise DataError(f"loss: shape mismatch {x.shape} vs {xhat.shape}")
-    if beta < 0:
-        raise DataError("loss: beta must be >= 0")
     recon = float(np.mean((x - xhat) ** 2))
     kl = kl_divergence(mu, sigma)
     return recon + beta * kl, recon, kl
@@ -227,7 +212,6 @@ def forward(params: dict, x: np.ndarray, config: VraeConfig,
             epsilon: np.ndarray, beta: float,
             dropout_mask: np.ndarray | None = None):
     """Full forward pass of a batch; returns losses and the backprop cache."""
-    x = np.asarray(x, dtype=np.float64)
     h_final, enc_cache = encoder_forward(params, x)
     if dropout_mask is not None:
         keep = 1.0 - config.dropout_rate
@@ -270,8 +254,6 @@ def backward(params: dict, cache: dict, config: VraeConfig
     thread, and each key or row block of the result is written by one
     thread only, so the bytes do not depend on the core count.
     """
-    if cache is None or "enc" not in cache:
-        raise DataError("backward: forward cache missing")
     n_h = config.hidden_units
     batch, length, d = cache["x"].shape
     beta = cache["beta"]
@@ -412,7 +394,7 @@ def train(config: VraeConfig, train_set: WindowedDataset,
     history: dict[str, list[float]] = {k: [] for k in _HISTORY_KEYS}
 
     n = len(train_set)
-    bs = min(config.batch_size, n)
+    bs = config.batch_size
     n_batches = (n + bs - 1) // bs
     total_steps = config.epochs * n_batches
     step = 0
@@ -459,7 +441,7 @@ def evaluate(params: dict, dataset: WindowedDataset, config: VraeConfig,
     """Deterministic loss on a dataset: epsilon = 0, dropout disabled."""
     total = recon = kl = 0.0
     n = len(dataset)
-    bs = min(config.batch_size, n)
+    bs = config.batch_size
     for start in range(0, n, bs):
         xb = dataset.windows[start:start + bs]
         eps = np.zeros((xb.shape[0], config.latent_dim))

@@ -67,7 +67,7 @@ class TestKlMonteCarlo:
         rng = SeededRng(42)
         mu = rng.standard_normal(4)
         sigma = np.exp(0.3 * rng.standard_normal(4))
-        closed = vrae.kl_divergence(mu, sigma)
+        closed = vrae.kl_divergence(mu[None], sigma[None])   # a batch of one
 
         n = 1_000_000
         z = mu + sigma * rng.standard_normal((n, 4))

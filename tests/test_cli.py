@@ -368,6 +368,19 @@ class TestExitCodes:
         assert "epochs" in capsys.readouterr().err
         assert not (tmp_path / "model.ckpt").exists()
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_non_positive_clip_norm_is_2(self, mini_config, pipeline_dir,
+                                         tmp_path, capsys, value):
+        cfg = tmp_path / "clip.cfg"
+        cfg.write_text(Path(mini_config).read_text()
+                       + f"vrae.clip_norm = {value}\n")
+        code = main(["train", "--config", str(cfg), "--train-data",
+                     os.path.join(pipeline_dir["prep"], "train.windows"),
+                     "--out", str(tmp_path / "model.ckpt")])
+        assert code == 2
+        assert "clip_norm must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "model.ckpt").exists()
+
     def test_val_data_in_another_feature_order_is_2(self, mini_config,
                                                     pipeline_dir, tmp_path,
                                                     capsys):
@@ -398,10 +411,10 @@ class TestExitCodes:
         assert code == 2
         assert f"{name}: not UTF-8" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("mass", ["nan-0-0", "inf-0-0"])
-    def test_non_finite_ice_mass_is_2(self, pipeline_dir, mini_config,
-                                      tmp_path, capsys, mass):
-        # nan > 0 is false: a NaN mass would count an iced sim as healthy
+    @staticmethod
+    def _preprocess_with_mass(pipeline_dir, mini_config, tmp_path, mass):
+        """Preprocesses a copy of the data whose sim_014 has the given
+        masses; returns the exit code and that sim's metadata line."""
         data = tmp_path / "data"
         shutil.copytree(pipeline_dir["data"], data)
         meta = data / "metadata.csv"
@@ -412,9 +425,28 @@ class TestExitCodes:
         meta.write_text("\n".join(lines) + "\n")
         code = main(["preprocess", "--config", mini_config, "--data",
                      str(data), "--out", str(tmp_path / "prep")])
+        return code, lineno
+
+    @pytest.mark.parametrize("mass", ["nan-0-0", "inf-0-0"])
+    def test_non_finite_ice_mass_is_2(self, pipeline_dir, mini_config,
+                                      tmp_path, capsys, mass):
+        # nan > 0 is false: a NaN mass would count an iced sim as healthy
+        code, lineno = self._preprocess_with_mass(pipeline_dir, mini_config,
+                                                  tmp_path, mass)
         assert code == 2
         err = capsys.readouterr().err
         assert f"metadata.csv:{lineno}:" in err and "finite" in err
+        assert not (tmp_path / "prep").exists()
+
+    def test_ice_in_two_zones_is_2(self, pipeline_dir, mini_config, tmp_path,
+                                   capsys):
+        # such a sim has no one label; the sidecar line is named
+        code, lineno = self._preprocess_with_mass(pipeline_dir, mini_config,
+                                                  tmp_path, "0.4-0.6-0")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"metadata.csv:{lineno}:" in err
+        assert "more than one zone (0.4-0.6-0)" in err
         assert not (tmp_path / "prep").exists()
 
     def test_non_utf8_config_is_2(self, tmp_path, capsys):
@@ -520,7 +552,9 @@ class TestExitCodes:
         (lambda c: c[:, 0], "centroids must be 2-D"),
         (lambda c: np.hstack([c, c]), "centroids have shape"),
         (lambda c: c[:1], "centroids have 1 rows for cluster id 1"),
-    ], ids=["centroids-1d", "centroids-wide", "centroids-short"])
+        (lambda c: c[:, :1], "centroids have shape"),
+    ], ids=["centroids-1d", "centroids-wide", "centroids-short",
+            "centroids-narrow"])
     def test_assignment_bad_centroids_is_2(self, pipeline_dir, tmp_path,
                                            capsys, change, message):
         kind, meta, arrays = artifacts.load_artifact(pipeline_dir["assignment"])
@@ -531,6 +565,20 @@ class TestExitCodes:
                      pipeline_dir["embedding"], "--out", str(tmp_path / "out")])
         assert code == 2
         assert message in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["bad"]
+
+    def test_assignment_label_count_differs_is_2(self, pipeline_dir, tmp_path,
+                                                 capsys):
+        # one cluster label per point of the embedding it is scored against
+        kind, meta, arrays = artifacts.load_artifact(pipeline_dir["assignment"])
+        arrays["labels"] = np.concatenate([arrays["labels"]] * 2)
+        bad = str(tmp_path / "bad")
+        artifacts.save_artifact(bad, kind, meta, arrays)
+        code = main(["score", "--assignment", bad, "--embedding",
+                     pipeline_dir["embedding"], "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: " in err and pipeline_dir["embedding"] in err
         assert os.listdir(tmp_path) == ["bad"]
 
     def test_kpca_on_one_row_latents_is_2(self, tmp_path, capsys):
