@@ -27,7 +27,7 @@ os.environ["OMP_NUM_THREADS"] = "1"
 import numpy as np  # noqa: E402
 
 from vraets import artifacts, clustering, config as cfgmod, dataset, projection
-from vraets import scoring, svgplot, vrae
+from vraets import _twin, scoring, svgplot, vrae
 from vraets.errors import DataError, NumericalError, PipelineError
 
 
@@ -102,36 +102,39 @@ def cmd_generate(args, cfg: dict) -> None:
         masses = [0.0, 0.0, 0.0]
         masses[zone - 1] = mass
         ice_configs.append(dataset.IceConfig(*masses))
-    meta_lines = []
-    for i, ice in enumerate(ice_configs):
-        synth = dataset.SynthConfig(
-            rotation_hz=cfg["synth.rotation_hz"],
-            sample_rate_hz=cfg["synth.sample_rate_hz"],
-            harmonics=cfg["synth.harmonics"],
-            noise_std=cfg["synth.noise_std"],
-            seed=cfg["seed"] * 1000 + i)
-        record = dataset.synthesize(synth, ice, cfg["synth.n_steps"])
-        sim_id = f"sim_{i:03d}"
+    sims = [(f"sim_{i:03d}", ice,
+             dataset.SynthConfig(rotation_hz=cfg["synth.rotation_hz"],
+                                 sample_rate_hz=cfg["synth.sample_rate_hz"],
+                                 harmonics=cfg["synth.harmonics"],
+                                 noise_std=cfg["synth.noise_std"],
+                                 seed=cfg["seed"] * 1000 + i))
+            for i, ice in enumerate(ice_configs)]
+    n_steps = cfg["synth.n_steps"]
+
+    def write_sim(sim):
+        sim_id, ice, synth = sim
+        record = dataset.synthesize(synth, ice, n_steps)
         record.sim_id = sim_id
         dataset.save_csv(record, os.path.join(args.out, f"{sim_id}.csv"))
-        meta_lines.append(f"{sim_id},{ice}")
+
+    _twin.alternate(write_sim, sims)
     meta_path = os.path.join(args.out, "metadata.csv")
     with artifacts.replacing(meta_path) as fh:
-        fh.write("\n".join(meta_lines))
-        fh.write("\n")
+        fh.write("".join(f"{sim_id},{ice}\n" for sim_id, ice, _ in sims))
     artifacts.write_manifest(meta_path, cfg, {})
     print(f"wrote {len(ice_configs)} simulations to {args.out}")
 
 
 def _load_records(data_dir, cfg):
-    meta_path = os.path.join(data_dir, "metadata.csv")
-    metadata = dataset.read_metadata(meta_path)
-    records = []
-    for sim_id in sorted(metadata):
-        csv_path = os.path.join(data_dir, f"{sim_id}.csv")
-        rec = dataset.load_csv(csv_path, metadata)
-        records.append(dataset.select_features(rec, cfg["prep.features"]))
-    return records
+    metadata = dataset.read_metadata(os.path.join(data_dir, "metadata.csv"))
+    features = cfg["prep.features"]
+
+    def load(sim_id):
+        rec = dataset.load_csv(os.path.join(data_dir, f"{sim_id}.csv"),
+                               metadata)
+        return dataset.select_features(rec, features)
+
+    return _twin.alternate(load, sorted(metadata))
 
 
 def cmd_preprocess(args, cfg: dict) -> None:
@@ -182,6 +185,12 @@ def cmd_encode(args, cfg: dict) -> None:
     print(f"encoded {len(labels)} windows to {mus.shape[1]}-dim latents")
 
 
+def _out_of_range(key, value, interval, path, n) -> str:
+    """The error for a config key whose range depends on an input's size."""
+    return (f"config key {key!r}: {value!r} is out of {interval} for the "
+            f"{n} points of {path}")
+
+
 def cmd_project(args, cfg: dict) -> None:
     method = cfg["project.method"]
     _, _, arrays = artifacts.load_artifact(args.latents, "latents",
@@ -193,13 +202,23 @@ def cmd_project(args, cfg: dict) -> None:
     if method == "pca":
         emb = projection.pca(X, 2)
     elif method == "tsne":
-        emb = projection.tsne(X, perplexity=cfg["project.perplexity"],
+        perplexity = cfg["project.perplexity"]
+        if not 1.0 < perplexity < len(X):
+            raise DataError(_out_of_range("project.perplexity", perplexity,
+                                          f"(1, {len(X)})", args.latents,
+                                          len(X)))
+        emb = projection.tsne(X, perplexity=perplexity,
                               iterations=cfg["project.iterations"])
     elif method == "kpca":
         emb = projection.kernel_pca_rbf(X, 2, cfg["project.gamma"])
     elif method == "spectral":
-        emb = projection.spectral_embedding(
-            X, k_neighbors=cfg["project.k_neighbors"], dims=2)
+        k_neighbors = cfg["project.k_neighbors"]
+        if not 0 <= k_neighbors < len(X):
+            raise DataError(_out_of_range("project.k_neighbors", k_neighbors,
+                                          f"[0, {len(X)})", args.latents,
+                                          len(X)))
+        emb = projection.spectral_embedding(X, k_neighbors=k_neighbors,
+                                            dims=2)
     else:
         raise DataError(f"unknown projection method {method!r}")
     emb.save(args.out, labels)
@@ -212,6 +231,9 @@ def cmd_cluster(args, cfg: dict) -> None:
     emb, labels = projection.Embedding.load(args.embedding)
     X = emb.points
     k = cfg["cluster.k"]
+    if method in ("kmeans", "hierarchical") and not 1 <= k <= len(X):
+        raise DataError(_out_of_range("cluster.k", k, f"[1, {len(X)}]",
+                                      args.embedding, len(X)))
     if method == "kmeans":
         assignment = clustering.kmeans_pp(X, k, seed=cfg["seed"])
     elif method == "hierarchical":

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import expit
 
 from vraets import artifacts
-from vraets import _helper, _kernels
+from vraets import _helper, _kernels, _twin
 from vraets.dataset import WindowedDataset
 from vraets.errors import DataError, NumericalError
 from vraets.numerics import (AdamState, SeededRng, adam_step, clip_global_norm,
@@ -455,17 +455,22 @@ def evaluate(params: dict, dataset: WindowedDataset, config: VraeConfig,
 
 def encode_dataset(checkpoint: Checkpoint, dataset: WindowedDataset
                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior means for every window (dropout off), with aligned labels."""
+    """Posterior means for every window (dropout off), with aligned labels.
+    Every other batch runs in a forked child (`_twin.alternate`)."""
     config = checkpoint.config
     if dataset.n_features != config.input_dim:
         raise DataError(f"encode: dataset has {dataset.n_features} features, "
                         f"checkpoint expects {config.input_dim}")
-    mus = np.zeros((len(dataset), config.latent_dim))
     bs = config.batch_size
-    for start in range(0, len(dataset), bs):
-        xb = dataset.windows[start:start + bs]
-        h_final, _ = encoder_forward(checkpoint.params, xb)
-        mu, _, _ = posterior_params(checkpoint.params, h_final)
+
+    def encode(start):
+        h_final, _ = encoder_forward(checkpoint.params,
+                                     dataset.windows[start:start + bs])
+        return posterior_params(checkpoint.params, h_final)[0]
+
+    starts = range(0, len(dataset), bs)
+    mus = np.zeros((len(dataset), config.latent_dim))
+    for start, mu in zip(starts, _twin.alternate(encode, starts)):
         mus[start:start + bs] = mu
     return mus, dataset.labels.copy()
 

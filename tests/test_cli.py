@@ -146,6 +146,24 @@ class TestPipelineStages:
                          "--method", method, "--out", out]) == 0
 
 
+def test_load_records_equal_a_serial_loop(pipeline_dir, mini_config):
+    # the odd-indexed sims are read in a forked child
+    cfg = cli._resolve(cli.build_parser().parse_args(
+        ["preprocess", "--config", mini_config, "--data", "x", "--out", "y"]))
+    data = pipeline_dir["data"]
+    metadata = dataset.read_metadata(os.path.join(data, "metadata.csv"))
+    want = [dataset.select_features(
+                dataset.load_csv(os.path.join(data, f"{sim_id}.csv"),
+                                 metadata), cfg["prep.features"])
+            for sim_id in sorted(metadata)]
+    got = cli._load_records(data, cfg)
+    assert len(got) == len(want) == 25
+    for g, w in zip(got, want):
+        assert (g.sim_id, g.config, g.feature_names) == \
+            (w.sim_id, w.config, w.feature_names)
+        assert g.values.tobytes() == w.values.tobytes()
+
+
 def _manifest_config(path):
     with open(path + ".manifest.json", encoding="utf-8") as fh:
         return json.load(fh)["config"]
@@ -410,6 +428,68 @@ class TestExitCodes:
                      str(data), "--out", str(tmp_path / "prep")])
         assert code == 2
         assert f"{name}: not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [["sim_001"], ["sim_002"],
+                                     ["sim_001", "sim_002"]],
+                             ids=["child", "parent", "both"])
+    def test_bad_csv_on_either_process_is_2(self, pipeline_dir, mini_config,
+                                            tmp_path, capsys, bad):
+        # preprocess reads the odd-indexed sims in a forked child; the
+        # lowest bad sim_id is reported, as by a serial loop
+        data = tmp_path / "data"
+        shutil.copytree(pipeline_dir["data"], data)
+        for sim_id in bad:
+            path = data / f"{sim_id}.csv"
+            lines = path.read_text().split("\n")
+            lines[2] = "abc" + lines[2][lines[2].index(","):]
+            path.write_text("\n".join(lines))
+        code = main(["preprocess", "--config", mini_config, "--data",
+                     str(data), "--out", str(tmp_path / "prep")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{bad[0]}.csv:3: bad numeric cell in column" in err
+        assert err.count("bad numeric cell") == 1
+        assert not (tmp_path / "prep").exists()
+
+    @pytest.mark.parametrize("line, argv, n", [
+        ("cluster.k = 5",
+         ["cluster", "--method", "kmeans", "--embedding", "{embedding}"], 3),
+        ("cluster.k = 5",
+         ["cluster", "--method", "hierarchical", "--embedding",
+          "{embedding}"], 3),
+        ("cluster.k = 0",
+         ["cluster", "--method", "kmeans", "--embedding", "{embedding}"], 3),
+        ("# default perplexity 30",
+         ["project", "--method", "tsne", "--latents", "{latents}"], 10),
+        ("project.k_neighbors = 10",
+         ["project", "--method", "spectral", "--latents", "{latents}"], 10),
+    ], ids=["kmeans-k", "hierarchical-k", "k-zero", "tsne-perplexity",
+            "spectral-k-neighbors"])
+    def test_key_out_of_range_for_input_size_names_key_and_path(
+            self, tmp_path, capsys, line, argv, n):
+        rng = np.random.default_rng(0)
+        paths = {"latents": str(tmp_path / "latents"),
+                 "embedding": str(tmp_path / "embedding")}
+        artifacts.save_artifact(paths["latents"], "latents",
+                                {"latent_dim": 3},
+                                {"mus": rng.standard_normal((n, 3)),
+                                 "labels": np.zeros(n, dtype=np.int64)})
+        projection.Embedding(rng.standard_normal((n, 2)), "pca").save(
+            paths["embedding"], np.zeros(n, dtype=np.int64))
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "out"
+        code = main([a.format(**paths) for a in argv]
+                    + ["--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        key = ("cluster.k" if argv[0] == "cluster" else
+               "project.perplexity" if "tsne" in argv
+               else "project.k_neighbors")
+        assert f"config key '{key}'" in err
+        assert paths[argv[-1].strip("{}")] in err
+        assert f"for the {n} points" in err
+        assert not out.exists()
 
     @staticmethod
     def _preprocess_with_mass(pipeline_dir, mini_config, tmp_path, mass):

@@ -434,7 +434,8 @@ class TestTrain:
 
     def test_traced_functions_run_on_the_main_thread(self, monkeypatch):
         # the benchmark's tracer keeps one span stack for the process;
-        # training and t-SNE both hand work to the helper thread
+        # training and t-SNE both hand work to the helper thread; every
+        # traced call in the main process must run on its main thread
         ran = []
 
         def recorder(name, fn):
@@ -574,6 +575,27 @@ class TestEncodeDataset:
         a, _ = encode_dataset(ckpt, ds)
         b, _ = encode_dataset(ckpt, ds)
         np.testing.assert_array_equal(a, b)
+
+
+class TestBatchesOnTwoProcesses:
+    """encode_dataset hands every other batch to a forked child; the
+    bytes equal a serial loop over the same batches."""
+
+    CFG = VraeConfig(input_dim=2, hidden_units=4, latent_dim=3, epochs=1,
+                     batch_size=4, seed=4)
+
+    @pytest.mark.parametrize("n_batches", [1, 2, 7])
+    def test_encode_bytes_equal_a_serial_loop(self, n_batches):
+        ckpt = train(self.CFG, toy_dataset())
+        # the last batch is short: 3 of 4 windows
+        ds = toy_dataset(n=4 * n_batches - 1, seed=n_batches)
+        want = np.zeros((len(ds), self.CFG.latent_dim))
+        for start in range(0, len(ds), 4):
+            h, _ = encoder_forward(ckpt.params, ds.windows[start:start + 4])
+            want[start:start + 4] = posterior_params(ckpt.params, h)[0]
+        mus, labels = encode_dataset(ckpt, ds)
+        assert mus.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(labels, ds.labels)
 
 
 # Reference LSTM kernels for TestKernelPaths. `_scalar_*` are per-element
