@@ -64,12 +64,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = stage("project", "project latents to 2D")
     p.add_argument("--latents", required=True)
-    p.add_argument("--method", choices=["pca", "tsne", "kpca", "spectral"],
+    p.add_argument("--method", choices=cfgmod.PROJECT_METHODS,
                    dest="project.method")
 
     p = stage("cluster", "cluster an embedding")
     p.add_argument("--embedding", required=True)
-    p.add_argument("--method", choices=["kmeans", "hierarchical", "dbscan"],
+    p.add_argument("--method", choices=cfgmod.CLUSTER_METHODS,
                    dest="cluster.method")
 
     p = stage("score", "match clusters to truth and score")
@@ -199,28 +199,28 @@ def cmd_project(args, cfg: dict) -> None:
     if labels.shape != (X.shape[0],):
         raise DataError(f"{args.latents}: labels have shape {labels.shape} "
                         f"for {X.shape[0]} rows of mus")
-    if method == "pca":
-        emb = projection.pca(X, 2)
-    elif method == "tsne":
-        perplexity = cfg["project.perplexity"]
-        if not 1.0 < perplexity < len(X):
-            raise DataError(_out_of_range("project.perplexity", perplexity,
-                                          f"(1, {len(X)})", args.latents,
-                                          len(X)))
-        emb = projection.tsne(X, perplexity=perplexity,
-                              iterations=cfg["project.iterations"])
-    elif method == "kpca":
-        emb = projection.kernel_pca_rbf(X, 2, cfg["project.gamma"])
-    elif method == "spectral":
-        k_neighbors = cfg["project.k_neighbors"]
-        if not 0 <= k_neighbors < len(X):
-            raise DataError(_out_of_range("project.k_neighbors", k_neighbors,
-                                          f"[0, {len(X)})", args.latents,
-                                          len(X)))
-        emb = projection.spectral_embedding(X, k_neighbors=k_neighbors,
-                                            dims=2)
-    else:
-        raise DataError(f"unknown projection method {method!r}")
+    perplexity = cfg["project.perplexity"]
+    k_neighbors = cfg["project.k_neighbors"]
+    if method == "tsne" and not 1.0 < perplexity < len(X):
+        raise DataError(_out_of_range("project.perplexity", perplexity,
+                                      f"(1, {len(X)})", args.latents, len(X)))
+    if method == "spectral" and not 0 <= k_neighbors < len(X):
+        raise DataError(_out_of_range("project.k_neighbors", k_neighbors,
+                                      f"[0, {len(X)})", args.latents, len(X)))
+    try:
+        if method == "pca":
+            emb = projection.pca(X, 2)
+        elif method == "tsne":
+            emb = projection.tsne(X, perplexity=perplexity,
+                                  iterations=cfg["project.iterations"])
+        elif method == "kpca":
+            emb = projection.kernel_pca_rbf(X, 2, cfg["project.gamma"])
+        else:
+            emb = projection.spectral_embedding(X, k_neighbors=k_neighbors,
+                                                dims=2)
+    except DataError as exc:
+        # too few rows or columns for the method
+        raise DataError(f"{args.latents}: {exc}") from None
     emb.save(args.out, labels)
     artifacts.write_manifest(args.out, cfg, {"latents": args.latents})
     print(f"projected {len(labels)} points with {method}")
@@ -238,13 +238,11 @@ def cmd_cluster(args, cfg: dict) -> None:
         assignment = clustering.kmeans_pp(X, k, seed=cfg["seed"])
     elif method == "hierarchical":
         assignment = clustering.hierarchical(X, k)
-    elif method == "dbscan":
+    else:
         eps = cfg["cluster.eps"]
         if eps is None:
             eps = clustering.default_eps(X)
         assignment = clustering.dbscan(X, eps, min_pts=cfg["cluster.min_pts"])
-    else:
-        raise DataError(f"unknown clustering method {method!r}")
     assignment.save(args.out)
     artifacts.write_manifest(args.out, cfg, {"embedding": args.embedding})
     print(f"{method}: {assignment.n_clusters} clusters")

@@ -108,11 +108,6 @@ def _lloyd(X: np.ndarray, centers: np.ndarray):
 def kmeans_pp(X: np.ndarray, k: int, seed: int = 0) -> ClusterAssignment:
     """k-means++ with Lloyd iterations; best of KMEANS_RESTARTS seeded runs."""
     X = np.asarray(X, dtype=np.float64)
-    n = X.shape[0]
-    if k > n:
-        raise DataError(f"kmeans_pp: k={k} exceeds {n} points")
-    if k < 1:
-        raise DataError("kmeans_pp: k must be >= 1")
     best = None
     for r in range(KMEANS_RESTARTS):
         centers = _kmeans_seed(X, k, SeededRng(seed * 1_000_003 + r))
@@ -140,8 +135,6 @@ def hierarchical(X: np.ndarray, k: int) -> ClusterAssignment:
 
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
-    if not 1 <= k <= n:
-        raise DataError(f"hierarchical: k={k} out of range for {n} points")
     if n == 1:
         labels, merge_heights = np.zeros(1, dtype=np.int64), []
     else:
@@ -180,10 +173,6 @@ def dbscan(X: np.ndarray, eps: float, min_pts: int = 4) -> ClusterAssignment:
     from scipy.sparse import csr_array
     from scipy.sparse.csgraph import connected_components
 
-    if not eps > 0:
-        raise DataError(f"dbscan: eps must be positive, got {eps}")
-    if min_pts < 1:
-        raise DataError("dbscan: min_pts must be >= 1")
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
     near = np.sqrt(sq_distances(X)) <= eps

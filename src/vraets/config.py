@@ -13,7 +13,7 @@ import json
 import math
 
 from vraets.artifacts import read_text
-from vraets.dataset import FEATURE_NAMES
+from vraets.dataset import FEATURE_NAMES, ZONE_SIDEBAND_HZ
 from vraets.errors import DataError
 from vraets.vrae import AnnealSchedule, VraeConfig
 
@@ -52,6 +52,39 @@ DEFAULTS: dict = {
     "cluster.k": 2,
     "cluster.eps": None,
     "cluster.min_pts": 4,
+}
+
+CLASSES = ("two", "multi")
+PROJECT_METHODS = ("pca", "tsne", "kpca", "spectral")
+CLUSTER_METHODS = ("kmeans", "hierarchical", "dbscan")
+
+
+def _one_of(choices: tuple) -> tuple:
+    return " or ".join(map(json.dumps, choices)), lambda v: v in choices
+
+
+# key -> (what its value must be, a test of the converted value). The
+# ranges that depend on an input's size (cluster.k, project.perplexity,
+# project.k_neighbors) are checked by the stage that reads the input,
+# and vrae.* by VraeConfig.
+_RANGES = {
+    # numpy's SeedSequence takes no negative seed
+    "seed": ("an int >= 0", lambda v: v >= 0),
+    "synth.harmonics": ("an int >= 1", lambda v: v >= 1),
+    "synth.noise_std": ("a number >= 0", lambda v: v >= 0),
+    "synth.n_steps": ("an int >= 1", lambda v: v >= 1),
+    "prep.features": ("a non-empty list of names", lambda v: (
+        type(v) is list and len(v) > 0 and all(type(f) is str for f in v))),
+    "prep.window_length": ("an int >= 1", lambda v: v >= 1),
+    "prep.stride": ("an int >= 1", lambda v: v >= 1),
+    "prep.train_fraction": ("a number in (0, 1)", lambda v: 0 < v < 1),
+    "prep.classes": _one_of(CLASSES),
+    "project.method": _one_of(PROJECT_METHODS),
+    "project.iterations": ("an int >= 1", lambda v: v >= 1),
+    "project.gamma": ("null or a number > 0", lambda v: v is None or v > 0),
+    "cluster.method": _one_of(CLUSTER_METHODS),
+    "cluster.eps": ("null or a number > 0", lambda v: v is None or v > 0),
+    "cluster.min_pts": ("an int >= 1", lambda v: v >= 1),
 }
 
 PRESETS: dict[str, dict] = {
@@ -104,13 +137,14 @@ def resolve(preset: str | None = None, config_file=None,
 
     Every key whose default is a number must convert to that type and
     must not be a bool; an int key must not hold a fraction, which int()
-    would truncate, and a float key must be finite. The seed is >= 0, a
-    key whose default is None holds None or a finite number float()
-    accepts, prep.classes is "two" or "multi", and prep.features is a
-    list of names. Numbers are returned converted: an int or float key
-    holds its default's type, a None-default key None or a float, so
-    stages read them with no cast and manifests record what the stage
-    used.
+    would truncate, and a float key must be finite. A key whose default
+    is None holds None or a finite number float() accepts. Then each key
+    of _RANGES must pass its test, and the sample rate must exceed twice
+    the highest simulated frequency. This is the one check of these
+    values: the stages and the library take what it lets through.
+    Numbers are returned converted: an int or float key holds its
+    default's type, a None-default key None or a float, so stages read
+    them with no cast and manifests record what the stage used.
     """
     cfg = dict(DEFAULTS)
     if preset is not None:
@@ -145,18 +179,22 @@ def resolve(preset: str | None = None, config_file=None,
                 raise DataError(f"config key {key!r}: expected "
                                 f"{expected}, got {value!r}") from None
             cfg[key] = number
-    if cfg["seed"] < 0:
-        # numpy's SeedSequence takes no negative seed
-        raise DataError(f"config key 'seed': expected an int >= 0, got "
-                        f"{cfg['seed']!r}")
-    if cfg["prep.classes"] not in ("two", "multi"):
-        raise DataError(f"config key 'prep.classes': expected \"two\" or "
-                        f"\"multi\", got {cfg['prep.classes']!r}")
-    features = cfg["prep.features"]
-    if type(features) is not list or not all(type(f) is str
-                                             for f in features):
-        raise DataError(f"config key 'prep.features': expected a list of "
-                        f"names, got {features!r}")
+    for key, (expected, test) in _RANGES.items():
+        if not test(cfg[key]):
+            raise DataError(f"config key {key!r}: expected {expected}, "
+                            f"got {cfg[key]!r}")
+    # Nyquist: the sample rate exceeds twice the top harmonic and every
+    # side-band. harmonics < nyquist / rotation compares an int with a
+    # float exactly, where rotation * harmonics could overflow
+    nyquist = cfg["synth.sample_rate_hz"] / 2
+    rotation = cfg["synth.rotation_hz"]
+    if not (nyquist > max(ZONE_SIDEBAND_HZ) and (
+            rotation <= 0 or cfg["synth.harmonics"] < nyquist / rotation)):
+        raise DataError(f"config key 'synth.sample_rate_hz': expected more "
+                        f"than twice the highest frequency, max(synth."
+                        f"rotation_hz * synth.harmonics, "
+                        f"{max(ZONE_SIDEBAND_HZ)} Hz), got "
+                        f"{cfg['synth.sample_rate_hz']!r}")
     return cfg
 
 

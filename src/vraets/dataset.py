@@ -192,20 +192,9 @@ class SynthConfig:
     noise_std: float = 0.05
     seed: int = 0
 
-    def __post_init__(self):
-        top = max(self.rotation_hz * self.harmonics, max(ZONE_SIDEBAND_HZ))
-        if self.sample_rate_hz <= 2.0 * top:
-            raise DataError("sample rate must exceed twice the highest frequency")
-        if self.noise_std < 0:
-            raise DataError("noise_std must be non-negative")
-        if self.harmonics < 1:
-            raise DataError("need at least one harmonic")
-
 
 def synthesize(config: SynthConfig, ice: IceConfig, n_steps: int) -> TimeSeriesRecord:
     """Generates one 6-feature blade-acceleration record, seed-deterministic."""
-    if n_steps <= 0:
-        raise DataError(f"n_steps must be positive, got {n_steps}")
     t = np.arange(n_steps, dtype=np.float64) / config.sample_rate_hz
     rng = SeededRng(config.seed)
 
@@ -379,8 +368,6 @@ def window(record: TimeSeriesRecord, length: int, stride: int
     if length > record.n_steps:
         raise DataError(f"{record.sim_id}: window length {length} exceeds "
                         f"{record.n_steps} time steps")
-    if stride < 1 or length < 1:
-        raise DataError("window length and stride must be >= 1")
     count = (record.n_steps - length) // stride + 1
     return [record.values[i * stride: i * stride + length] for i in range(count)]
 
@@ -408,9 +395,6 @@ def split(dataset: WindowedDataset, train_fraction: float, seed: int
     """Stratified shuffled train/test partition, deterministic under seed."""
     if len(dataset) == 0:
         raise DataError("split: empty dataset")
-    if not 0.0 < train_fraction < 1.0:
-        raise DataError(f"split: train_fraction must be in (0, 1), "
-                        f"got {train_fraction}")
     rng = SeededRng(seed)
     sizes = dataset.class_counts()
     classes = sorted(sizes)

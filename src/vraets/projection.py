@@ -122,8 +122,6 @@ def kernel_pca_rbf(X: np.ndarray, k: int = 2, gamma: float | None = None
     n = X.shape[0]
     if not 1 <= k <= n:
         raise DataError(f"kernel_pca_rbf: k={k} out of range for {n} points")
-    if gamma is not None and not gamma > 0:
-        raise DataError(f"kernel_pca_rbf: gamma must be positive, got {gamma}")
     d2 = sq_distances(X)
     if gamma is None:
         gamma = default_gamma(d2)
@@ -202,8 +200,6 @@ def tsne_affinities(X: np.ndarray, perplexity: float) -> np.ndarray:
     """Symmetrized, normalized joint affinities used by t-SNE."""
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
-    if not 1.0 < perplexity < n:
-        raise DataError(f"tsne: perplexity {perplexity} out of (1, {n})")
     Pcond = _binary_search_bandwidths(sq_distances(X), perplexity)
     P = (Pcond + Pcond.T) / (2.0 * n)
     return np.maximum(P, _EPS)
@@ -240,9 +236,6 @@ def tsne(X: np.ndarray, perplexity: float = 30.0, iterations: int = 1000
     n = X.shape[0]
     if n < 4:
         raise DataError("tsne: need at least 4 points")
-    if iterations < 1:
-        raise DataError(f"tsne: iterations must be at least 1, "
-                        f"got {iterations}")
     P = tsne_affinities(X, perplexity)
 
     init = pca(X, min(2, X.shape[1])).points
@@ -343,9 +336,6 @@ def spectral_embedding(X: np.ndarray, k_neighbors: int = 10, dims: int = 2
 
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
-    if not 0 <= k_neighbors < n:
-        raise DataError(f"spectral_embedding: k_neighbors {k_neighbors} "
-                        f"must be in [0, {n})")
     if not 1 <= dims <= n - 1:
         raise DataError(f"spectral_embedding: dims {dims} must be in "
                         f"[1, {n - 1}] for {n} points")

@@ -336,13 +336,39 @@ class TestExitCodes:
          ["cluster", "--method", "dbscan", "--embedding", "{embedding}"]),
         ("vrae.learning_rate = Infinity",
          ["train", "--train-data", "{prep}/train.windows"]),
+        ("synth.harmonics = 0", ["generate"]),
+        ("synth.harmonics = 1" + "0" * 400, ["generate"]),
+        ("synth.noise_std = -1", ["generate"]),
+        ("synth.n_steps = 0", ["generate"]),
+        ("synth.sample_rate_hz = 1.0", ["generate"]),
+        ("prep.features = []", ["preprocess", "--data", "{data}"]),
+        ("prep.window_length = 0", ["preprocess", "--data", "{data}"]),
+        ("prep.stride = 0", ["preprocess", "--data", "{data}"]),
+        ("prep.train_fraction = 1.0", ["preprocess", "--data", "{data}"]),
+        ("project.method = umap", ["project", "--latents", "{latents}"]),
+        ("project.iterations = 0",
+         ["project", "--method", "tsne", "--latents", "{latents}"]),
+        ("project.gamma = -1",
+         ["project", "--method", "kpca", "--latents", "{latents}"]),
+        ("cluster.method = optics", ["cluster", "--embedding", "{embedding}"]),
+        ("cluster.eps = 0",
+         ["cluster", "--method", "dbscan", "--embedding", "{embedding}"]),
+        ("cluster.min_pts = 0",
+         ["cluster", "--method", "dbscan", "--embedding", "{embedding}"]),
     ], ids=["gamma-str", "gamma-bool", "eps-list", "classes-unknown",
-            "features-int", "gamma-nan", "eps-nan", "learning-rate-inf"])
+            "features-int", "gamma-nan", "eps-nan", "learning-rate-inf",
+            "harmonics-zero", "harmonics-400-digits", "noise-std-negative",
+            "n-steps-zero", "sample-rate-below-nyquist", "features-empty",
+            "window-length-zero", "stride-zero", "train-fraction-one",
+            "project-method-unknown", "iterations-zero", "gamma-negative",
+            "cluster-method-unknown", "eps-zero", "min-pts-zero"])
     def test_bad_optional_or_choice_config_value_is_2(self, pipeline_dir,
                                                       tmp_path, capsys, line,
                                                       argv):
         # these used to end in a traceback, run with gamma 1.0, find 0
-        # DBSCAN clusters, or silently run the multi-class split
+        # DBSCAN clusters, silently run the multi-class split, or leave
+        # an empty --out directory; each is rejected before a stage
+        # reads its input
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(line + "\n")
         code = main([a.format(**pipeline_dir) for a in argv]
@@ -463,8 +489,12 @@ class TestExitCodes:
          ["project", "--method", "tsne", "--latents", "{latents}"], 10),
         ("project.k_neighbors = 10",
          ["project", "--method", "spectral", "--latents", "{latents}"], 10),
+        ("project.perplexity = 1.0",
+         ["project", "--method", "tsne", "--latents", "{latents}"], 10),
+        ("project.k_neighbors = -1",
+         ["project", "--method", "spectral", "--latents", "{latents}"], 10),
     ], ids=["kmeans-k", "hierarchical-k", "k-zero", "tsne-perplexity",
-            "spectral-k-neighbors"])
+            "spectral-k-neighbors", "perplexity-one", "k-neighbors-negative"])
     def test_key_out_of_range_for_input_size_names_key_and_path(
             self, tmp_path, capsys, line, argv, n):
         rng = np.random.default_rng(0)
@@ -661,16 +691,31 @@ class TestExitCodes:
         assert f"{bad}: " in err and pipeline_dir["embedding"] in err
         assert os.listdir(tmp_path) == ["bad"]
 
-    def test_kpca_on_one_row_latents_is_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("method, shape, line, message", [
+        ("pca", (20, 1), "", "pca: k=2 out of range for 20x1 data"),
+        ("tsne", (3, 3), "project.perplexity = 2.0",
+         "tsne: need at least 4 points"),
+        ("spectral", (2, 3), "project.k_neighbors = 1",
+         "spectral_embedding: dims 2 must be in [1, 1] for 2 points"),
+        ("kpca", (1, 3), "", "kernel_pca_rbf: k=2 out of range for 1 points"),
+    ], ids=["pca", "tsne", "spectral", "kpca"])
+    def test_latents_too_small_for_method_names_path(self, tmp_path, capsys,
+                                                      method, shape, line,
+                                                      message):
         latents = str(tmp_path / "latents")
-        artifacts.save_artifact(latents, "latents", {"latent_dim": 3},
-                                {"mus": np.ones((1, 3)),
-                                 "labels": np.zeros(1, dtype=np.int64)})
-        code = main(["project", "--latents", latents, "--method", "kpca",
+        rows, dim = shape
+        artifacts.save_artifact(latents, "latents", {"latent_dim": dim},
+                                {"mus": np.arange(rows * dim, dtype=np.float64)
+                                 .reshape(shape),
+                                 "labels": np.zeros(rows, dtype=np.int64)})
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text(line + "\n")
+        code = main(["project", "--latents", latents, "--method", method,
+                     "--config", str(cfg),
                      "--out", str(tmp_path / "embedding")])
         assert code == 2
-        assert "k=2 out of range" in capsys.readouterr().err
-        assert os.listdir(tmp_path) == ["latents"]
+        assert f"error: {latents}: {message}" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["latents", "small.cfg"]
 
     @pytest.mark.parametrize("mus, labels, message", [
         (np.ones((20, 3)), np.zeros(3, dtype=np.int64), "labels have shape"),

@@ -49,6 +49,25 @@ def test_arbitrary_text_raises_only_data_error(tmp_path, text):
     except DataError:
         return
     assert set(overrides) <= set(config.DEFAULTS)
+    try:
+        cfg = config.resolve(overrides=overrides)
+    except DataError:
+        return
+    assert set(cfg) == set(config.DEFAULTS)
+
+
+@pytest.mark.parametrize("key", [key for key, default
+                                 in config.DEFAULTS.items()
+                                 if type(default) is int])
+def test_400_digit_int_value_resolves_or_is_data_error(key):
+    # the Nyquist rule must not turn synth.harmonics into a float
+    value = 10 ** 400
+    try:
+        cfg = config.resolve(overrides={key: value})
+    except DataError as exc:
+        assert str(exc).startswith("config key '")
+        return
+    assert cfg[key] == value
 
 
 def test_resolve_returns_values_of_the_default_type():
