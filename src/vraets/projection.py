@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh
 
 from vraets import _helper, artifacts
 from vraets.errors import DataError
@@ -132,6 +131,8 @@ def kernel_pca_rbf(X: np.ndarray, k: int = 2, gamma: float | None = None
     Kc -= means[None, :]
     Kc -= means[:, None]
     Kc += means.mean()
+    # scipy.linalg is slow to import and only this path needs it
+    from scipy.linalg import eigh
     eigvals, eigvecs = eigh(Kc, overwrite_a=True,
                             subset_by_index=[n - k, n - 1])
     vals = np.maximum(eigvals[::-1], 0.0)
@@ -324,6 +325,23 @@ def tsne(X: np.ndarray, perplexity: float = 30.0, iterations: int = 1000
                      X.shape[1], extras={"kl_trace": kl_trace})
 
 
+def _nearest(d2: np.ndarray, m: int) -> np.ndarray:
+    """The first m columns of `np.argsort(d2, axis=1, kind="stable")`,
+    for 1 <= m <= n, without sorting whole rows.
+
+    A row's candidates are its entries not above its m-th smallest
+    value (so a NaN, which both sorts put last, stays one). A stable
+    sort by (row, value) keeps ties in column order, so each row's
+    first m candidates are the argsort's first m columns.
+    """
+    kth = np.partition(d2, m - 1, axis=1)[:, m - 1]
+    r, c = np.nonzero(~(d2 > kth[:, None]))
+    picked = c[np.lexsort((d2[r, c], r))]
+    counts = np.bincount(r, minlength=d2.shape[0])
+    starts = np.cumsum(counts) - counts
+    return picked[starts[:, None] + np.arange(m)]
+
+
 def spectral_embedding(X: np.ndarray, k_neighbors: int = 10, dims: int = 2
                        ) -> Embedding:
     """Eigenmaps of the symmetric-normalized Laplacian of a kNN graph.
@@ -331,6 +349,7 @@ def spectral_embedding(X: np.ndarray, k_neighbors: int = 10, dims: int = 2
     Only the dims + 1 smallest eigenpairs are computed; the first, the
     trivial one, is dropped.
     """
+    from scipy.linalg import eigh
     from scipy.sparse import csr_array
     from scipy.sparse.csgraph import connected_components
 
@@ -344,11 +363,10 @@ def spectral_embedding(X: np.ndarray, k_neighbors: int = 10, dims: int = 2
         # all points coincide: no geometry to embed
         return Embedding(np.zeros((n, dims)), "spectral",
                          {"k_neighbors": k_neighbors, "dims": dims}, X.shape[1])
-    # each row's k nearest others in stable order: drop the row's own
-    # index, or the (k+1)-th pick where duplicates pushed it out; the
-    # copy frees the full n x n argsort, which a view would keep alive
+    # each row's k nearest others: drop the row's own index, or the
+    # (k+1)-th pick where duplicates pushed it out
     rows = np.arange(n)
-    order = np.argsort(d2, axis=1, kind="stable")[:, :k_neighbors + 1].copy()
+    order = _nearest(d2, k_neighbors + 1)
     keep = order != rows[:, None]
     keep[keep.all(axis=1), k_neighbors] = False
     src, dst = np.repeat(rows, k_neighbors), order[keep]

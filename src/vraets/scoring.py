@@ -13,7 +13,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from vraets.clustering import ClusterAssignment
 from vraets.dataset import LABEL_NORMAL
@@ -38,6 +37,9 @@ def match_labels(pred: np.ndarray, truth: np.ndarray
     Returns (mapping, relabeled predictions). Unmatched predicted
     clusters and noise points map to -1.
     """
+    # scipy.optimize is slow to import and only this path needs it
+    from scipy.optimize import linear_sum_assignment
+
     pred = np.asarray(pred, dtype=np.int64)
     truth = np.asarray(truth, dtype=np.int64)
     true_classes = sorted(set(truth.tolist()))
@@ -88,6 +90,26 @@ def classification_metrics(matched_pred: np.ndarray, truth: np.ndarray
             "f1": f1, "per_class": per_class}
 
 
+def _midranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of a 1-D float array, ties sharing their mean rank.
+
+    `scipy.stats.rankdata(values)` bit for bit, by the formula of its
+    "average" method: a stable sort, the starts of the runs of equal
+    values, and for each run half of (the count before it + the count
+    through it + 1). A NaN anywhere makes every rank NaN, as there.
+    """
+    if np.isnan(values).any():
+        return np.full(len(values), np.nan)
+    order = np.argsort(values, kind="mergesort")
+    ordered = values[order]
+    starts = np.r_[True, ordered[1:] != ordered[:-1]]
+    count = np.r_[np.flatnonzero(starts), len(values)]
+    dense = np.cumsum(starts)
+    ranks = np.empty(len(values))
+    ranks[order] = 0.5 * (count[dense] + count[dense - 1] + 1)
+    return ranks
+
+
 def auc_binary(values: np.ndarray, truth: np.ndarray,
                hard_labels: bool = False) -> float:
     """ROC AUC for a binary problem (positive class = 1).
@@ -106,9 +128,7 @@ def auc_binary(values: np.ndarray, truth: np.ndarray,
         tpr = float(np.mean(values[pos] == 1))
         tnr = float(np.mean(values[neg] != 1))
         return 0.5 * (tpr + tnr)
-    # scipy.stats is slow to import and only this path needs it
-    from scipy.stats import rankdata
-    ranks = rankdata(values)
+    ranks = _midranks(values)
     n_pos, n_neg = int(pos.sum()), int(neg.sum())
     u = float(np.sum(ranks[pos])) - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)

@@ -20,7 +20,6 @@ import numbers
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
-from scipy.special import expit
 
 from vraets import artifacts
 from vraets import _helper, _kernels, _twin
@@ -254,6 +253,9 @@ def backward(params: dict, cache: dict, config: VraeConfig
     thread, and each key or row block of the result is written by one
     thread only, so the bytes do not depend on the core count.
     """
+    # scipy.special is slow to import and only this path needs it
+    from scipy.special import expit
+
     n_h = config.hidden_units
     batch, length, d = cache["x"].shape
     beta = cache["beta"]

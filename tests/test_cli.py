@@ -858,15 +858,67 @@ def _env_with_src(**overrides) -> dict:
     return env
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats, scipy.cluster and scipy.sparse.csgraph cost a large
-    # share of every process's start-up, and only ROC AUC, Ward and the
-    # spectral embedding need them, so they are imported there
+def test_cli_import_loads_no_scipy():
+    # scipy is most of a process's start-up, and each stage that needs a
+    # scipy subpackage imports it in the function that calls it
     code = ("import sys, vraets.cli; "
-            "sys.exit(any(m in sys.modules for m in "
-            "('scipy.stats', 'scipy.cluster', 'scipy.sparse.csgraph')))")
+            "sys.exit(any(m == 'scipy' or m.startswith('scipy.') "
+            "for m in sys.modules))")
     assert subprocess.run([sys.executable, "-c", code],
                           env=_env_with_src()).returncode == 0
+
+
+_SCIPY_PROBE = (
+    "import json, sys\n"
+    "from vraets.cli import main\n"
+    "code = main(sys.argv[2:])\n"
+    "with open(sys.argv[1], 'w') as fh:\n"
+    "    json.dump(sorted(m for m in sys.modules\n"
+    "                     if m == 'scipy' or m.startswith('scipy.')), fh)\n"
+    "sys.exit(code)\n")
+
+# the stages whose process loads no scipy module at all
+_SCIPY_FREE = ["generate", "preprocess", "encode", "project-pca",
+               "project-tsne", "cluster-kmeans", "plot"]
+_SCIPY_USERS = ["train", "project-kpca", "project-spectral",
+                "cluster-hierarchical", "cluster-dbscan", "score"]
+
+
+def _stage_argv(stage, d, out):
+    """A stage's arguments on the pipeline's files d, writing to out."""
+    command, _, method = stage.partition("-")
+    inputs = {
+        "generate": [],
+        "preprocess": ["--data", d["data"]],
+        "train": ["--train-data", os.path.join(d["prep"], "train.windows")],
+        "encode": ["--checkpoint", d["model.ckpt"],
+                   "--data", os.path.join(d["prep"], "test.windows")],
+        "project": ["--latents", d["latents"], "--method", method],
+        "cluster": ["--embedding", d["embedding"], "--method", method],
+        "score": ["--assignment", d["assignment"],
+                  "--embedding", d["embedding"]],
+        "plot": ["--embedding", d["embedding"]],
+    }[command]
+    return [command, *inputs, "--out", out]
+
+
+@pytest.mark.parametrize("stage", _SCIPY_FREE + _SCIPY_USERS)
+def test_stage_loads_only_the_scipy_it_calls(stage, pipeline_dir, mini_config,
+                                            tmp_path):
+    record = tmp_path / "modules.json"
+    argv = _stage_argv(stage, pipeline_dir, str(tmp_path / "out"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, str(record), *argv,
+         "--config", mini_config, "--seed", "11"],
+        env=_env_with_src(), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(record.read_text())
+    if stage in _SCIPY_FREE:
+        assert loaded == []
+    else:
+        assert loaded  # the probe sees what a stage imports
+    assert not [m for m in loaded
+                if m == "scipy.stats" or m.startswith("scipy.stats.")]
 
 
 def test_cli_import_starts_no_thread_until_the_first_task():

@@ -550,6 +550,35 @@ def _spectral_points_by_neighbour_loop(X, k_neighbors, dims=2):
     return projection._fix_signs(eigvecs[:, 1:])
 
 
+class TestNearest:
+    """The partial selection that picks the spectral kNN graph against
+    the stable argsort of whole rows."""
+
+    @staticmethod
+    def _check(d2):
+        for m in range(1, d2.shape[0] + 1):
+            np.testing.assert_array_equal(
+                projection._nearest(d2, m),
+                np.argsort(d2, axis=1, kind="stable")[:, :m])
+
+    def test_integer_grids_with_duplicates(self):
+        # points on a 3x3 grid: most distances tie, many points coincide
+        rng = np.random.default_rng(48)
+        for _ in range(60):
+            n = int(rng.integers(2, 30))
+            X = rng.integers(0, 3, size=(n, int(rng.integers(1, 3))))
+            self._check(sq_distances(X.astype(np.float64)))
+
+    def test_random_points(self):
+        self._check(sq_distances(_random_data(50, 3, seed=49)))
+
+    def test_nan_and_inf_sort_last_as_in_argsort(self):
+        d2 = sq_distances(_random_data(12, 2, seed=50))
+        d2[np.random.default_rng(51).random(d2.shape) < 0.3] = np.nan
+        d2[0, 1:6] = np.inf
+        self._check(d2)
+
+
 class TestSpectral:
     def test_matches_neighbour_loop_bit_for_bit(self):
         for seed, n, k in ((25, 12, 3), (26, 40, 10), (27, 60, 7)):

@@ -157,6 +157,27 @@ class TestAuc:
             oracle = wins / (len(pos) * len(neg))
             assert scoring.auc_binary(scores, truth) == pytest.approx(oracle)
 
+    @pytest.mark.parametrize("case", [
+        "floats", "integer ties", "all equal", "one value", "signed zeros",
+        "nan"])
+    def test_midranks_equal_rankdata_bit_for_bit(self, case):
+        from scipy.stats import rankdata
+        rng = np.random.default_rng(52)
+        for _ in range(200):
+            n = int(rng.integers(2, 60))
+            values = {
+                "floats": lambda: rng.normal(size=n),
+                "integer ties": lambda: rng.integers(-3, 4, n).astype(float),
+                "all equal": lambda: np.full(n, 2.5),
+                "one value": lambda: rng.normal(size=1),
+                "signed zeros": lambda: rng.choice([-0.0, 0.0, 1.0], n),
+                "nan": lambda: np.where(rng.random(n) < 0.2, np.nan,
+                                        rng.normal(size=n)),
+            }[case]()
+            got, want = scoring._midranks(values), rankdata(values)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
     def test_hard_labels_balanced_accuracy(self):
         truth = np.array([1, 1, 1, 1, 0, 0])
         pred = np.array([1, 1, 1, 0, 0, 1])
