@@ -17,7 +17,7 @@ from typing import Any
 
 import numpy as np
 
-from vraets.errors import DataError
+from vraets.errors import DataError, NumericalError
 
 FORMAT_VERSION = 1
 _MAGIC = "vraets-artifact"
@@ -44,12 +44,23 @@ def save_artifact(path, kind: str, meta: dict[str, Any],
         contiguous.append(arr)
     header = {"magic": _MAGIC, "format_version": FORMAT_VERSION,
               "kind": kind, "meta": meta, "arrays": entries}
-    line = json.dumps(header, sort_keys=True, separators=(",", ":"))
+    line = strict_json(header, f"{kind} artifact header",
+                       sort_keys=True, separators=(",", ":"))
     with replacing(path, binary=True) as fh:
         fh.write(line.encode("utf-8"))
         fh.write(b"\n")
         for arr in contiguous:
             fh.write(arr)   # the array's own buffer, no bytes copy
+
+
+def strict_json(obj, what: str, **kwargs) -> str:
+    """json.dumps(obj, **kwargs) with no NaN or Infinity, which strict
+    JSON parsers reject: a non-finite number is a NumericalError naming
+    `what`."""
+    try:
+        return json.dumps(obj, allow_nan=False, **kwargs)
+    except ValueError:
+        raise NumericalError(f"{what} would hold a non-finite number") from None
 
 
 @contextmanager
@@ -201,7 +212,7 @@ def write_manifest(artifact_path, config: dict[str, Any],
         "seed": config["seed"],
     }
     path = str(artifact_path) + ".manifest.json"
+    text = strict_json(manifest, path, sort_keys=True, indent=2) + "\n"
     with replacing(path) as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text)
     return path

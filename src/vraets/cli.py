@@ -27,7 +27,7 @@ os.environ["OMP_NUM_THREADS"] = "1"
 import numpy as np  # noqa: E402
 
 from vraets import artifacts, clustering, config as cfgmod, dataset, projection
-from vraets import _twin, scoring, svgplot, vrae
+from vraets import _twin, numerics, scoring, svgplot, vrae
 from vraets.errors import DataError, NumericalError, PipelineError
 
 
@@ -199,6 +199,7 @@ def cmd_project(args, cfg: dict) -> None:
     if labels.shape != (X.shape[0],):
         raise DataError(f"{args.latents}: labels have shape {labels.shape} "
                         f"for {X.shape[0]} rows of mus")
+    numerics.check_coordinates(X, args.latents)
     perplexity = cfg["project.perplexity"]
     k_neighbors = cfg["project.k_neighbors"]
     if method == "tsne" and not 1.0 < perplexity < len(X):
@@ -264,10 +265,11 @@ def cmd_score(args, cfg: dict) -> None:
                         f"{cents.shape} for the {emb.points.shape[1]}-D "
                         f"points of {args.embedding}")
     report = scoring.score_assignment(assignment, labels, emb.points)
+    text = report.to_json()
     os.makedirs(args.out, exist_ok=True)
     json_path = os.path.join(args.out, "report.json")
     with artifacts.replacing(json_path) as fh:
-        fh.write(report.to_json())
+        fh.write(text)
     with artifacts.replacing(os.path.join(args.out, "report.txt")) as fh:
         fh.write(report.render_table())
     artifacts.write_manifest(json_path, cfg,

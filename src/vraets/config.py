@@ -70,6 +70,7 @@ def _one_of(choices: tuple) -> tuple:
 _RANGES = {
     # numpy's SeedSequence takes no negative seed
     "seed": ("an int >= 0", lambda v: v >= 0),
+    "synth.rotation_hz": ("a number > 0", lambda v: v > 0),
     "synth.harmonics": ("an int >= 1", lambda v: v >= 1),
     "synth.noise_std": ("a number >= 0", lambda v: v >= 0),
     "synth.n_steps": ("an int >= 1", lambda v: v >= 1),
@@ -188,8 +189,8 @@ def resolve(preset: str | None = None, config_file=None,
     # float exactly, where rotation * harmonics could overflow
     nyquist = cfg["synth.sample_rate_hz"] / 2
     rotation = cfg["synth.rotation_hz"]
-    if not (nyquist > max(ZONE_SIDEBAND_HZ) and (
-            rotation <= 0 or cfg["synth.harmonics"] < nyquist / rotation)):
+    if not (nyquist > max(ZONE_SIDEBAND_HZ)
+            and cfg["synth.harmonics"] < nyquist / rotation):
         raise DataError(f"config key 'synth.sample_rate_hz': expected more "
                         f"than twice the highest frequency, max(synth."
                         f"rotation_hz * synth.harmonics, "

@@ -16,6 +16,9 @@ from vraets.errors import DataError, NumericalError
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# sq_distances squares coordinates and sums them: above this magnitude a
+# square can overflow to inf, and inf - inf is NaN
+MAX_COORDINATE = 1e150
 
 
 class SeededRng(np.random.Generator):
@@ -36,6 +39,15 @@ def sq_distances(X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
     else:
         d2 = sq[:, None] + np.sum(Y * Y, axis=1)[None, :] - 2.0 * (X @ Y.T)
     return np.maximum(d2, 0.0)
+
+
+def check_coordinates(X: np.ndarray, path) -> None:
+    """Raises a DataError naming `path` unless every entry of X is finite
+    and at most MAX_COORDINATE in magnitude."""
+    top = float(np.max(np.abs(X), initial=0.0))
+    if not top <= MAX_COORDINATE:
+        raise DataError(f"{path}: coordinates must be finite and at most "
+                        f"{MAX_COORDINATE:g} in magnitude, got {top:g}")
 
 
 def softplus(x):

@@ -15,7 +15,7 @@ import numpy as np
 
 from vraets import _helper, artifacts
 from vraets.errors import DataError
-from vraets.numerics import sq_distances
+from vraets.numerics import SeededRng, check_coordinates, sq_distances
 
 _EPS = 1e-12
 # t-SNE's gradient-descent step, and the factor on P and the number of
@@ -64,6 +64,7 @@ class Embedding:
         if labels is not None and labels.shape != (points.shape[0],):
             raise DataError(f"{path}: labels have shape {labels.shape} for "
                             f"{points.shape[0]} points")
+        check_coordinates(points, path)
         return cls(points, meta["method"], meta["params"],
                    meta["source_dim"]), labels
 
@@ -76,6 +77,36 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
         if out[i, j] < 0:
             out[:, j] = -out[:, j]
     return out
+
+
+def _top_eigenpairs(A, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k largest eigenpairs of the symmetric matrix A (an ndarray or
+    a scipy sparse array), largest first.
+
+    ARPACK's Lanczos (`eigsh`) finds them to working precision (tol=0)
+    from a fixed start vector: without one it draws a start from a
+    random stream that carries on between calls, and a second call in
+    one process would give other bits. A seeded normal vector, not a
+    constant one, which the centred kernel of kernel PCA maps to 0.
+    Where ARPACK cannot serve (k + 1 >= n is beyond it) or does not
+    converge, the pairs come from scipy.linalg.eigh with
+    `subset_by_index` on the dense matrix.
+    """
+    n = A.shape[0]
+    if k + 1 < n:
+        from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+        try:
+            # the values come in ascending order
+            vals, vecs = eigsh(A, k, which="LA", tol=0,
+                               v0=SeededRng(0).standard_normal(n))
+        except ArpackNoConvergence:
+            pass
+        else:
+            return vals[::-1], vecs[:, ::-1]
+    from scipy.linalg import eigh
+    dense = A if isinstance(A, np.ndarray) else A.toarray()
+    vals, vecs = eigh(dense, subset_by_index=[n - k, n - 1])
+    return vals[::-1], vecs[:, ::-1]
 
 
 def pca(X: np.ndarray, k: int = 2) -> Embedding:
@@ -131,12 +162,9 @@ def kernel_pca_rbf(X: np.ndarray, k: int = 2, gamma: float | None = None
     Kc -= means[None, :]
     Kc -= means[:, None]
     Kc += means.mean()
-    # scipy.linalg is slow to import and only this path needs it
-    from scipy.linalg import eigh
-    eigvals, eigvecs = eigh(Kc, overwrite_a=True,
-                            subset_by_index=[n - k, n - 1])
-    vals = np.maximum(eigvals[::-1], 0.0)
-    vecs = _fix_signs(eigvecs[:, ::-1])
+    eigvals, eigvecs = _top_eigenpairs(Kc, k)
+    vals = np.maximum(eigvals, 0.0)
+    vecs = _fix_signs(eigvecs)
     scores = vecs * np.sqrt(vals)[None, :]
     return Embedding(scores, "kernel_pca_rbf", {"k": k, "gamma": gamma},
                      X.shape[1], extras={"eigenvalues": vals})
@@ -342,6 +370,35 @@ def _nearest(d2: np.ndarray, m: int) -> np.ndarray:
     return picked[starts[:, None] + np.arange(m)]
 
 
+def _laplacian_eigenpairs(adj, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m smallest eigenpairs, smallest first, of the symmetric-
+    normalized Laplacian L = I - S, S = D^-1/2 A D^-1/2, of the graph
+    whose sparse symmetric adjacency A gives every vertex an edge.
+
+    On a connected graph they are the m largest pairs of the sparse S,
+    from `_top_eigenpairs`, and L's eigenvalues are 1 - those of S. A
+    graph of c components has the eigenvalue 0 c times, and Lanczos from
+    one start vector can miss copies of it; there the pairs come from
+    scipy.linalg.eigh on the dense L.
+    """
+    from scipy.sparse import diags_array
+    from scipy.sparse.csgraph import connected_components
+
+    dinv = 1.0 / np.sqrt(adj.sum(axis=1))
+    n_comp = connected_components(adj, directed=False)[0]
+    if n_comp == 1:
+        d = diags_array(dinv)
+        vals, vecs = _top_eigenpairs(d @ adj @ d, m)
+        return 1.0 - vals, vecs
+    if n_comp > m:
+        warnings.warn(f"kNN graph has {n_comp} connected components; "
+                      f"embedding may be degenerate")
+    from scipy.linalg import eigh
+    n = adj.shape[0]
+    lap = np.eye(n) - dinv[:, None] * adj.toarray() * dinv[None, :]
+    return eigh(lap, overwrite_a=True, subset_by_index=[0, m - 1])
+
+
 def spectral_embedding(X: np.ndarray, k_neighbors: int = 10, dims: int = 2
                        ) -> Embedding:
     """Eigenmaps of the symmetric-normalized Laplacian of a kNN graph.
@@ -349,9 +406,7 @@ def spectral_embedding(X: np.ndarray, k_neighbors: int = 10, dims: int = 2
     Only the dims + 1 smallest eigenpairs are computed; the first, the
     trivial one, is dropped.
     """
-    from scipy.linalg import eigh
     from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import connected_components
 
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
@@ -359,8 +414,8 @@ def spectral_embedding(X: np.ndarray, k_neighbors: int = 10, dims: int = 2
         raise DataError(f"spectral_embedding: dims {dims} must be in "
                         f"[1, {n - 1}] for {n} points")
     d2 = sq_distances(X)
-    if np.max(d2) == 0.0:
-        # all points coincide: no geometry to embed
+    if k_neighbors == 0 or np.max(d2) == 0.0:
+        # no edges, or all points coincide: no geometry to embed
         return Embedding(np.zeros((n, dims)), "spectral",
                          {"k_neighbors": k_neighbors, "dims": dims}, X.shape[1])
     # each row's k nearest others: drop the row's own index, or the
@@ -370,24 +425,9 @@ def spectral_embedding(X: np.ndarray, k_neighbors: int = 10, dims: int = 2
     keep = order != rows[:, None]
     keep[keep.all(axis=1), k_neighbors] = False
     src, dst = np.repeat(rows, k_neighbors), order[keep]
-    adj = np.zeros((n, n))
-    adj[src, dst] = 1.0
-    adj = np.maximum(adj, adj.T)  # union of directed kNN edges
-
-    deg = adj.sum(axis=1)
-    if np.all(deg == 0):
-        return Embedding(np.zeros((n, dims)), "spectral",
-                         {"k_neighbors": k_neighbors, "dims": dims}, X.shape[1])
-    # from the n k directed edges: the dense adj would cost O(n^2) here
     edges = csr_array((np.ones(len(src)), (src, dst)), shape=(n, n))
-    n_comp = connected_components(edges, directed=False)[0]
-    if n_comp > dims + 1:
-        warnings.warn(f"kNN graph has {n_comp} connected components; "
-                      f"embedding may be degenerate")
-    with np.errstate(divide="ignore"):
-        dinv = np.where(deg > 0, 1.0 / np.sqrt(deg), 0.0)
-    lap = np.eye(n) - dinv[:, None] * adj * dinv[None, :]
-    eigvals, eigvecs = eigh(lap, overwrite_a=True, subset_by_index=[0, dims])
+    # the union of the directed kNN edges
+    eigvals, eigvecs = _laplacian_eigenpairs(edges.maximum(edges.T), dims + 1)
     coords = _fix_signs(eigvecs[:, 1:])
     return Embedding(coords, "spectral",
                      {"k_neighbors": k_neighbors, "dims": dims}, X.shape[1],

@@ -9,11 +9,11 @@ averages, which makes weighted recall identical to accuracy.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from vraets import artifacts
 from vraets.clustering import ClusterAssignment
 from vraets.dataset import LABEL_NORMAL
 from vraets.errors import DataError
@@ -201,7 +201,8 @@ class ScoreReport:
                         "f1": self.f1},
             "per_class": {str(k): v for k, v in sorted(self.per_class.items())},
         }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return artifacts.strict_json(payload, f"{self.method} report",
+                                     sort_keys=True, indent=2) + "\n"
 
     def render_table(self) -> str:
         rows = [("Accuracy", self.accuracy), ("AUC", self.auc),

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vraets import artifacts, dataset
-from vraets.errors import DataError
+from vraets.errors import DataError, NumericalError
 
 
 def _sample_arrays():
@@ -256,6 +256,18 @@ class TestManifest:
         assert manifest["config"] == {"key": 1, "seed": 42}
         assert manifest["input_hashes"]["input"] \
             == artifacts.sha256_file(str(inp))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_json_is_numerical_error_and_writes_nothing(
+            self, tmp_path, value):
+        # strict JSON has no NaN or Infinity
+        art = tmp_path / "x.artifact"
+        with pytest.raises(NumericalError, match="non-finite"):
+            artifacts.save_artifact(art, "k", {"gamma": value},
+                                    {"a": np.ones(3)})
+        with pytest.raises(NumericalError, match="non-finite"):
+            artifacts.write_manifest(art, {"seed": 0, "eps": value}, {})
+        assert os.listdir(tmp_path) == []
 
     def test_sha256_known_value(self, tmp_path):
         f = tmp_path / "f"

@@ -377,6 +377,64 @@ class TestExitCodes:
         assert line.split(" = ")[0] in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["bad.cfg"]
 
+    def test_zero_rotation_is_2_before_the_harmonic_loop(self, tmp_path,
+                                                         capsys):
+        # a rotation of 0 used to pass the Nyquist rule, and generate
+        # then looped over 10^400 harmonics
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("synth.rotation_hz = 0\n"
+                       "synth.harmonics = 1" + "0" * 400 + "\n")
+        code = main(["generate", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "'synth.rotation_hz'" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["bad.cfg"]
+
+    @pytest.mark.parametrize("argv", [
+        ["cluster", "--method", "kmeans", "--embedding", "{input}"],
+        ["cluster", "--method", "hierarchical", "--embedding", "{input}"],
+        ["project", "--method", "pca", "--latents", "{input}"],
+    ], ids=["kmeans", "hierarchical", "project"])
+    def test_coordinates_beyond_1e150_are_2(self, tmp_path, capsys, argv):
+        # squared distances overflowed to inf and inf - inf gave NaN:
+        # k-means seeding and scipy's linkage ended in a traceback
+        path = str(tmp_path / "input")
+        points = np.random.default_rng(54).choice([-1e200, 1e200],
+                                                  size=(20, 2))
+        labels = np.zeros(20, dtype=np.int64)
+        if argv[0] == "cluster":
+            projection.Embedding(points, "pca").save(path, labels)
+        else:
+            artifacts.save_artifact(path, "latents", {"latent_dim": 2},
+                                    {"mus": points, "labels": labels})
+        code = main([a.format(input=path) for a in argv]
+                    + ["--out", str(tmp_path / "out")])
+        assert code == 2
+        assert (f"error: {path}: coordinates must be finite and at most "
+                f"1e+150 in magnitude, got 1e+200"
+                in capsys.readouterr().err)
+        assert os.listdir(tmp_path) == ["input"]
+
+    def test_non_finite_metric_is_3_and_writes_nothing(self, tmp_path,
+                                                       capsys):
+        # centroids at +-1e200 make every anomaly score inf - inf, and
+        # score wrote "auc": NaN, which is not JSON
+        emb, assign = str(tmp_path / "emb"), str(tmp_path / "assign")
+        labels = np.array([0, 0, 1, 1])
+        projection.Embedding(np.array([[-1.0, 0.0], [-1.1, 0.2],
+                                       [1.0, 0.0], [1.2, 0.1]]),
+                             "pca").save(emb, labels)
+        clustering.ClusterAssignment(
+            labels, "kmeans",
+            centroids=np.array([[-1e200, 0.0], [1e200, 0.0]])).save(assign)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["score", "--assignment", assign, "--embedding", emb,
+                         "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert ("kmeans report would hold a non-finite number"
+                in capsys.readouterr().err)
+        assert sorted(os.listdir(tmp_path)) == ["assign", "emb"]
+
     @pytest.mark.parametrize("n_points", [0, 1])
     def test_default_eps_on_fewer_than_two_points_is_2(self, tmp_path, capsys,
                                                       n_points):
@@ -880,8 +938,27 @@ _SCIPY_PROBE = (
 # the stages whose process loads no scipy module at all
 _SCIPY_FREE = ["generate", "preprocess", "encode", "project-pca",
                "project-tsne", "cluster-kmeans", "plot"]
-_SCIPY_USERS = ["train", "project-kpca", "project-spectral",
-                "cluster-hierarchical", "cluster-dbscan", "score"]
+# the scipy modules each other stage imports: README's "Start-up" table
+_SCIPY_USERS = {
+    "train": ["scipy.special"],
+    "project-kpca": ["scipy.sparse.linalg"],
+    "project-spectral": ["scipy.linalg", "scipy.sparse.csgraph",
+                         "scipy.sparse.linalg"],
+    "cluster-hierarchical": ["scipy.cluster.hierarchy"],
+    "cluster-dbscan": ["scipy.sparse.csgraph"],
+    "score": ["scipy.optimize"],
+}
+
+_IMPORT_PROBE = ("import importlib, json, sys\n"
+                 "for name in sys.argv[1:]:\n"
+                 "    importlib.import_module(name)\n"
+                 "print(json.dumps(sorted(sys.modules)))\n")
+
+
+def _scipy_subpackages(modules) -> set:
+    """The public scipy subpackages (scipy.linalg, ...) among module names."""
+    import scipy
+    return {name for name in scipy.submodules if f"scipy.{name}" in modules}
 
 
 def _stage_argv(stage, d, out):
@@ -902,7 +979,7 @@ def _stage_argv(stage, d, out):
     return [command, *inputs, "--out", out]
 
 
-@pytest.mark.parametrize("stage", _SCIPY_FREE + _SCIPY_USERS)
+@pytest.mark.parametrize("stage", _SCIPY_FREE + list(_SCIPY_USERS))
 def test_stage_loads_only_the_scipy_it_calls(stage, pipeline_dir, mini_config,
                                             tmp_path):
     record = tmp_path / "modules.json"
@@ -915,10 +992,14 @@ def test_stage_loads_only_the_scipy_it_calls(stage, pipeline_dir, mini_config,
     loaded = json.loads(record.read_text())
     if stage in _SCIPY_FREE:
         assert loaded == []
-    else:
-        assert loaded  # the probe sees what a stage imports
-    assert not [m for m in loaded
-                if m == "scipy.stats" or m.startswith("scipy.stats.")]
+        return
+    # the stage loads what a fresh process importing its modules loads,
+    # no subpackage more or fewer
+    want = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, *_SCIPY_USERS[stage]],
+        capture_output=True, text=True, timeout=120, check=True)
+    assert (_scipy_subpackages(loaded)
+            == _scipy_subpackages(json.loads(want.stdout)))
 
 
 def test_cli_import_starts_no_thread_until_the_first_task():

@@ -6,7 +6,8 @@ from hypothesis import given, strategies as st
 
 from vraets import clustering, projection
 from vraets.errors import DataError
-from vraets.numerics import (AdamState, SeededRng, adam_step, clip_global_norm,
+from vraets.numerics import (MAX_COORDINATE, AdamState, SeededRng, adam_step,
+                             check_coordinates, clip_global_norm,
                              finite_difference_gradient, global_norm, softplus,
                              sq_distances)
 
@@ -63,6 +64,21 @@ class TestSqDistances:
         C = rng.normal(size=(m, d))
         np.testing.assert_array_equal(sq_distances(X, C), _pairwise_sq(X, C))
         assert sq_distances(X, C).tobytes() == _pairwise_sq(X, C).tobytes()
+
+
+class TestCheckCoordinates:
+    def test_bound_keeps_squared_distances_finite(self):
+        # the largest allowed coordinates, with 20 features
+        X = np.array([[-MAX_COORDINATE] * 20, [MAX_COORDINATE] * 20])
+        check_coordinates(X, "x")
+        check_coordinates(np.empty((0, 3)), "x")
+        assert np.all(np.isfinite(sq_distances(X)))
+
+    @pytest.mark.parametrize("value", [np.nextafter(MAX_COORDINATE, np.inf),
+                                       -1e200, np.inf, np.nan])
+    def test_beyond_the_bound_names_the_path(self, value):
+        with pytest.raises(DataError, match="^in.art: coordinates must be"):
+            check_coordinates(np.array([[0.0, value]]), "in.art")
 
 
 class TestAdam:

@@ -12,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.sparse import csr_array
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +24,13 @@ from vraets.numerics import SeededRng, sq_distances
 def _random_data(n, d, seed=0, scale=1.0):
     rng = SeededRng(seed)
     return scale * rng.standard_normal((n, d)) + rng.standard_normal((1, d))
+
+
+def _fragmented_blobs():
+    # five blobs of 6 points, 1e3 apart: a 2-NN graph of 5 components
+    rng = SeededRng(23)
+    return np.concatenate([rng.standard_normal((6, 2)) + off
+                           for off in (0.0, 1e3, 2e3, 3e3, 4e3)])
 
 
 def _duplicated_points():
@@ -202,6 +210,68 @@ class TestKernelPcaMatchesReference:
         np.testing.assert_allclose(emb.points, points, rtol=0, atol=1e-12)
         np.testing.assert_allclose(emb.extras["eigenvalues"], vals,
                                    rtol=0, atol=1e-12)
+
+
+def _regular_polygon(m):
+    theta = 2 * np.pi * np.arange(m) / m
+    return np.stack([np.cos(theta), np.sin(theta)], axis=1)
+
+
+class TestTopEigenpairs:
+    """The ARPACK solve behind kernel PCA and spectral embedding, and its
+    dense fallback."""
+
+    def test_two_calls_give_the_same_bits(self):
+        # ARPACK's own start vector comes from a stream that carries on
+        # between calls; the fixed one makes a call a function of its input
+        X = _random_data(80, 4, seed=52)
+        for run in (lambda: projection.kernel_pca_rbf(X, 2).points,
+                    lambda: projection.spectral_embedding(X, 8).points):
+            np.testing.assert_array_equal(run(), run())
+
+    @pytest.mark.parametrize("m, k", [(8, 2), (8, 3), (40, 2), (40, 3)])
+    def test_repeated_top_eigenvalue_of_a_regular_polygon(self, m, k):
+        # the kernel matrix is circulant: its top eigenvalue is double,
+        # and Lanczos from one vector must still find both copies
+        X = _regular_polygon(m)
+        emb = projection.kernel_pca_rbf(X, k)
+        _, vals = _kernel_pca_reference(X, k)
+        assert vals[0] == pytest.approx(vals[1], rel=1e-12)
+        np.testing.assert_allclose(emb.extras["eigenvalues"], vals,
+                                   rtol=0, atol=1e-12)
+
+    def test_fragmented_graph_takes_the_dense_eigh(self):
+        # five components: the Laplacian's 0 is five-fold, which Lanczos
+        # from one vector can miss, so the points are the dense eigh's
+        X = _fragmented_blobs()
+        with pytest.warns(UserWarning, match="connected components"):
+            got = projection.spectral_embedding(X, k_neighbors=2, dims=2)
+        _, vecs = scipy.linalg.eigh(_laplacian_by_neighbour_loop(X, 2),
+                                    subset_by_index=[0, 2])
+        np.testing.assert_array_equal(got.points,
+                                      projection._fix_signs(vecs[:, 1:]))
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_no_convergence_falls_back_to_dense_eigh(self, monkeypatch,
+                                                     sparse):
+        import scipy.sparse.linalg
+
+        def fail(A, k, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence(
+                "no convergence", np.empty(0), np.empty((A.shape[0], 0)))
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
+        B = _random_data(30, 30, seed=53)
+        A = B + B.T
+        vals, vecs = projection._top_eigenpairs(
+            csr_array(A) if sparse else A, 3)
+        want_vals, want_vecs = scipy.linalg.eigh(A, subset_by_index=[27, 29])
+        np.testing.assert_array_equal(vals, want_vals[::-1])
+        np.testing.assert_array_equal(vecs, want_vecs[:, ::-1])
+        emb = projection.kernel_pca_rbf(_random_data(40, 4, seed=38), 3)
+        np.testing.assert_allclose(
+            emb.points, _kernel_pca_reference(_random_data(40, 4, seed=38),
+                                              3)[0], rtol=0, atol=1e-12)
 
 
 # -------------------------------------------------------------- t-SNE
@@ -525,28 +595,33 @@ class TestBandwidthsMatchReference:
 
 # ------------------------------------------------------ spectral maps
 
-def _laplacian_by_neighbour_loop(X, k_neighbors):
-    """The symmetric-normalized Laplacian with the kNN graph built row by
-    row: each row's first k_neighbors others in stable distance order."""
+def _adjacency_by_neighbour_loop(X, k_neighbors):
+    """The dense kNN graph built row by row: each row's first k_neighbors
+    others in stable distance order, then the union of these edges."""
     n = X.shape[0]
     order = np.argsort(sq_distances(X), axis=1, kind="stable")
     adj = np.zeros((n, n))
     for i in range(n):
         neigh = [j for j in order[i] if j != i][:k_neighbors]
         adj[i, neigh] = 1.0
-    adj = np.maximum(adj, adj.T)
+    return np.maximum(adj, adj.T)
+
+
+def _laplacian_by_neighbour_loop(X, k_neighbors):
+    """The symmetric-normalized Laplacian of the row-by-row kNN graph."""
+    adj = _adjacency_by_neighbour_loop(X, k_neighbors)
     deg = adj.sum(axis=1)
     with np.errstate(divide="ignore"):
         dinv = np.where(deg > 0, 1.0 / np.sqrt(deg), 0.0)
-    return np.eye(n) - dinv[:, None] * adj * dinv[None, :]
+    return np.eye(X.shape[0]) - dinv[:, None] * adj * dinv[None, :]
 
 
 def _spectral_points_by_neighbour_loop(X, k_neighbors, dims=2):
     """Reference spectral embedding on the row-by-row kNN graph. The
     eigensolve is the one spectral_embedding makes, so that the two
     compare bit for bit and the comparison tests the graph."""
-    lap = _laplacian_by_neighbour_loop(X, k_neighbors)
-    _, eigvecs = scipy.linalg.eigh(lap, subset_by_index=[0, dims])
+    adj = csr_array(_adjacency_by_neighbour_loop(X, k_neighbors))
+    _, eigvecs = projection._laplacian_eigenpairs(adj, dims + 1)
     return projection._fix_signs(eigvecs[:, 1:])
 
 
@@ -651,10 +726,7 @@ class TestSpectral:
         assert np.all(ev >= -1e-9)
 
     def test_warns_on_fragmented_graph(self):
-        rng = SeededRng(23)
-        blobs = [rng.standard_normal((6, 2)) + off
-                 for off in (0.0, 1e3, 2e3, 3e3, 4e3)]
-        X = np.concatenate(blobs)
+        X = _fragmented_blobs()
         with pytest.warns(UserWarning, match="connected components"):
             projection.spectral_embedding(X, k_neighbors=2, dims=2)
 

@@ -71,7 +71,7 @@ _READERS = {
 @given(case=st.sampled_from(_key_paths()), value=_JSON)
 @example(case=("checkpoint", ("config", "hidden_units")), value=3.0)
 def test_any_metadata_value_loads_or_is_data_error(sources, tmp_path_factory,
-                                                    case, value):
+                                                    save_loose, case, value):
     kind, keys = case
     _, meta, arrays = artifacts.load_artifact(sources[kind])
     inner = meta
@@ -79,7 +79,7 @@ def test_any_metadata_value_loads_or_is_data_error(sources, tmp_path_factory,
         inner = inner[key]
     inner[keys[-1]] = value
     bad = str(tmp_path_factory.getbasetemp() / "bad")
-    artifacts.save_artifact(bad, kind, meta, arrays)
+    save_loose(bad, kind, meta, arrays)
     if kind == "latents":
         out = str(tmp_path_factory.getbasetemp() / "emb")
         assert main(["project", "--latents", bad, "--method", "pca",

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from vraets import scoring
 from vraets.clustering import ClusterAssignment
-from vraets.errors import DataError
+from vraets.errors import DataError, NumericalError
 from vraets.numerics import SeededRng
 
 
@@ -279,6 +279,12 @@ class TestScoreReport:
         assert payload["metrics"]["accuracy"] == rep.accuracy
         assert payload["method"] == "kmeans"
         assert payload["confusion"] == rep.confusion.tolist()
+
+    def test_non_finite_metric_is_numerical_error(self):
+        rep = self._make()
+        rep.auc = float("nan")
+        with pytest.raises(NumericalError, match="kmeans report"):
+            rep.to_json()
 
     def test_render_table_mirrors_metrics(self):
         rep = self._make()

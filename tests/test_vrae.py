@@ -518,7 +518,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("clip_norm", [0.0, float("nan")],
                              ids=["zero", "nan"])
     def test_non_positive_clip_norm_in_meta_on_load(self, tmp_path,
-                                                     clip_norm):
+                                                     save_loose, clip_norm):
         ds = toy_dataset()
         cfg = VraeConfig(input_dim=2, hidden_units=4, latent_dim=2, epochs=1,
                          seed=2)
@@ -526,7 +526,7 @@ class TestCheckpoint:
         train(cfg, ds).save(path)
         kind, meta, arrays = artifacts.load_artifact(path)
         meta["config"]["clip_norm"] = clip_norm
-        artifacts.save_artifact(path, kind, meta, arrays)
+        save_loose(path, kind, meta, arrays)
         with pytest.raises(DataError, match="bad model config.*clip_norm"):
             Checkpoint.load(path)
 
